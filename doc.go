@@ -32,6 +32,6 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The benchmarks in bench_test.go regenerate each figure at reduced
-// scale; cmd/experiments reproduces them at paper scale.
+// cmd/experiments reproduces every figure at paper scale; bench/ (run
+// with `bash bench/run.sh`) is the whole-run benchmark.
 package deisago

@@ -22,11 +22,11 @@ import (
 //     create, submit, per-block external scatter, and the transition
 //     cascade to completion.
 //
-// BENCH_SCHED.json records the baselines; scripts/check.sh compares each
-// run against them and fails on regression.
+// The whole-run benchmark (bench/, BENCHMARK.json) gates the end-to-end
+// effect of these paths; these isolate them.
 
 // schedBenchWorkers is the cluster size used by the scheduler benchmarks
-// (fixed so ns/task entries in BENCH_SCHED.json are comparable).
+// (fixed so ns/task figures are comparable across runs).
 const schedBenchWorkers = 8
 
 // schedBenchGraph builds the paper-shaped analytics graph for T timesteps

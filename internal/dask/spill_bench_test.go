@@ -14,11 +14,11 @@ import (
 //
 //   - zero_spill: the limit holds every block, so this is the governed
 //     fast path — LRU stamping and admission checks but no PFS traffic.
-//     Gated in BENCH_SCHED.json: governance must not add allocations or
-//     measurable time to runs that never spill.
+//     Governance must not add allocations or measurable time to runs
+//     that never spill.
 //   - spill_heavy: the limit holds only 4 blocks, so nearly every
 //     scatter evicts a victim to the PFS and nearly every gather
-//     unspills one. Gated too; this bounds the spill machinery itself
+//     unspills one. This bounds the spill machinery itself
 //     (ledger moves, virtual-time write/read charging), not the
 //     modelled PFS latency, which is virtual.
 //

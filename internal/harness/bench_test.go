@@ -19,8 +19,7 @@ func benchOptions(parallel int) Options {
 
 // BenchmarkPipelineSweep measures the wall-clock of a Fig-2a weak-scaling
 // sweep, serial vs pooled. The parallel/serial ns ratio is the sweep
-// speedup benchgate checks against BENCH_PIPELINE.json (scaled by the
-// recorded core count: on a 1-core runner the ratio is ~1).
+// speedup (it scales with the core count: on one core the ratio is ~1).
 func BenchmarkPipelineSweep(b *testing.B) {
 	for _, bc := range []struct {
 		name     string

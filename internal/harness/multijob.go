@@ -8,18 +8,12 @@ import (
 	"math"
 	"sync"
 
-	"deisago/internal/array"
 	"deisago/internal/chaos"
-	"deisago/internal/cluster"
-	"deisago/internal/core"
 	"deisago/internal/dask"
 	"deisago/internal/metrics"
-	"deisago/internal/mpi"
 	"deisago/internal/multijob"
 	"deisago/internal/ndarray"
 	"deisago/internal/netsim"
-	"deisago/internal/sim"
-	"deisago/internal/taskgraph"
 	"deisago/internal/vtime"
 )
 
@@ -28,7 +22,8 @@ import (
 // cluster, one scheduler. Each job gets its own namespace (every task
 // key, scatter key, Variable and queue is prefixed "<name>/"), its own
 // fair-share weight on the scheduler's ready queue, and its start is
-// gated by a multijob.Plane admission ticket. The per-job pipelines
+// gated by a multijob.Plane admission ticket. Each job runs the same
+// in-transit driver as a single-job Run (env.runJob). The per-job pipelines
 // are dataflow independent, so each job's analytics outputs are
 // bit-identical whether the jobs run serially (MaxConcurrent=1) or
 // fully interleaved — the per-tenant fingerprint checks exactly that.
@@ -117,15 +112,15 @@ func (c *MultiJobConfig) validate() error {
 	if c.Workers <= 0 {
 		return fmt.Errorf("harness: workers must be positive")
 	}
-	names := map[string]bool{}
+	steps := map[string]int{}
 	for _, j := range c.Jobs {
 		if err := (multijob.Tenant{Name: j.Name, Weight: j.Weight}).Validate(); err != nil {
 			return err
 		}
-		if names[j.Name] {
+		if _, dup := steps[j.Name]; dup {
 			return fmt.Errorf("harness: duplicate job name %q", j.Name)
 		}
-		names[j.Name] = true
+		steps[j.Name] = j.Timesteps
 		if j.Ranks <= 0 || j.Timesteps <= 0 || j.BlockBytes <= 0 {
 			return fmt.Errorf("harness: job %q needs positive ranks, timesteps and block size", j.Name)
 		}
@@ -135,8 +130,15 @@ func (c *MultiJobConfig) validate() error {
 			if ev.Kind == chaos.KindKillWorker {
 				return fmt.Errorf("harness: multi-job runs do not support worker kills (event %d)", i)
 			}
-			if ev.Kind == chaos.KindKillJob && !names[ev.Tenant] {
+			if ev.Kind != chaos.KindKillJob {
+				continue
+			}
+			t, ok := steps[ev.Tenant]
+			if !ok {
 				return fmt.Errorf("harness: killjob event %d targets unknown tenant %q", i, ev.Tenant)
+			}
+			if ev.Step >= t {
+				return fmt.Errorf("harness: killjob event %d at step %d is past job %q's last step %d", i, ev.Step, ev.Tenant, t-1)
 			}
 		}
 	}
@@ -241,36 +243,12 @@ func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := cfg.Model
-
 	totalRanks := 0
 	for _, j := range cfg.Jobs {
 		totalRanks += j.Ranks
 	}
-	layout := cluster.Layout{
-		Workers:        cfg.Workers,
-		WorkersPerNode: m.WorkersPerNode,
-		Ranks:          totalRanks,
-		RanksPerNode:   m.RanksPerNode,
-	}
-	nodes := m.MachineNodes
-	if need := layout.NodesNeeded(); nodes < need {
-		nodes = need
-	}
-	net := m.Net
-	net.Seed = cfg.Seed
-	machine := cluster.NewMachine(net, nodes, m.CoresPerNode)
-	alloc := machine.Allocate(layout.NodesNeeded(), cfg.Seed)
-	place := alloc.Place(layout)
-
-	reg := metrics.NewRegistry()
-	machine.Fabric().UseMetrics(reg)
-	dcfg := m.Dask
-	dcfg.MetadataEntryCost = m.MetaEntryCost
-	dcfg.WorkerMemoryLimit = cfg.WorkerMemoryLimit
-	dcfg.TieBreak = cfg.TieBreak
-	dcfg.Metrics = reg
-	dc := dask.NewCluster(machine.Fabric(), dcfg, place.SchedulerNode, place.WorkerNodes)
+	p := newPlatform(cfg.Model, cfg.Workers, totalRanks, cfg.Seed)
+	dc := p.newCluster(cfg.WorkerMemoryLimit, cfg.TieBreak)
 	defer dc.Close()
 	if cfg.EnableAudit || cfg.ChaosPlan != nil {
 		dc.EnableAudit()
@@ -291,7 +269,7 @@ func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctrl.InstallLinkFaults(machine.Fabric())
+		ctrl.InstallLinkFaults(p.machine.Fabric())
 		killAt = ctrl.KillJobs()
 	}
 
@@ -306,20 +284,12 @@ func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 	var wg sync.WaitGroup
 	rankBase := 0
 	for i, job := range cfg.Jobs {
-		rankNodes := place.RankNodes[rankBase : rankBase+job.Ranks]
+		rankNodes := p.place.RankNodes[rankBase : rankBase+job.Ranks]
 		rankBase += job.Ranks
 		wg.Add(1)
 		go func(i int, job JobSpec, rankNodes []netsim.NodeID) {
 			defer wg.Done()
-			release, err := plane.Admit(job.Name, job.estimate())
-			if err != nil {
-				errs <- fmt.Errorf("job %q: %w", job.Name, err)
-				return
-			}
-			defer release()
-			killStep, killed := killAt[job.Name]
-			res, err := runOneJob(&cfg, job, dc, machine.Fabric(), rankNodes,
-				place.ClientNode, ctrl, killed, killStep)
+			res, err := cfg.runTenant(plane, p, dc, ctrl, job, rankNodes, killAt)
 			if err != nil {
 				errs <- fmt.Errorf("job %q: %w", job.Name, err)
 				return
@@ -353,215 +323,61 @@ func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 	}
 	dc.FlushTenantGauges()
 	dc.RecordUtilization(out.Makespan)
-	machine.Fabric().RecordUtilization(out.Makespan)
-	out.Metrics = reg.Snapshot()
+	p.machine.Fabric().RecordUtilization(out.Makespan)
+	out.Metrics = p.reg.Snapshot()
 	return out, nil
 }
 
-// runOneJob drives one admitted pipeline: its MPI world and namespaced
-// bridges on the simulation side, its namespaced adaptor, contract and
-// IPCA graph on the analytics side.
-func runOneJob(cfg *MultiJobConfig, job JobSpec, dc *dask.Cluster, fabric *netsim.Fabric,
-	rankNodes []netsim.NodeID, clientNode netsim.NodeID, ctrl *chaos.Controller,
-	killed bool, killStep int) (*JobResult, error) {
-	m := cfg.Model
-	// Per-job view of the single-job Config: newDeisaRankSystem and the
-	// pipeline cost model read exactly these fields.
-	jcfg := Config{
+// runTenant admits one job and runs it as a DEISA3 pipeline in its
+// namespace, on its slice of the platform's rank nodes. A job in killAt
+// has its analytics consume only the timesteps before its kill step.
+func (c *MultiJobConfig) runTenant(plane *multijob.Plane, p *platform, dc *dask.Cluster, ctrl *chaos.Controller,
+	job JobSpec, rankNodes []netsim.NodeID, killAt map[string]int) (*JobResult, error) {
+	release, err := plane.Admit(job.Name, job.estimate())
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	e, err := newEnv(p, Config{
 		System:     DEISA3,
 		Ranks:      job.Ranks,
-		Workers:    cfg.Workers,
+		Workers:    c.Workers,
 		Timesteps:  job.Timesteps,
 		BlockBytes: job.BlockBytes,
-		Seed:       cfg.Seed,
-		RealLocalX: cfg.RealLocalX,
-		RealLocalY: cfg.RealLocalY,
-		Model:      m,
-	}
-
-	va := &core.VirtualArray{
-		Name:      ArrayName,
-		Namespace: job.Name,
-		Size:      []int{job.Timesteps, cfg.RealLocalX, cfg.RealLocalY * job.Ranks},
-		Subsize:   []int{1, cfg.RealLocalX, cfg.RealLocalY},
-		TimeDim:   0,
-	}
-	if err := va.Validate(); err != nil {
+		Seed:       c.Seed,
+		RealLocalX: c.RealLocalX,
+		RealLocalY: c.RealLocalY,
+		Model:      c.Model,
+		TieBreak:   c.TieBreak,
+	}, job.Name, rankNodes)
+	if err != nil {
 		return nil, err
 	}
-	realCells := cfg.RealLocalX * cfg.RealLocalY
-	modelCells := job.BlockBytes / 8
-	heatCfg := sim.Config{
-		GlobalX:  cfg.RealLocalX,
-		GlobalY:  cfg.RealLocalY * job.Ranks,
-		ProcX:    1,
-		ProcY:    job.Ranks,
-		Alpha:    0.2,
-		CellCost: float64(modelCells) * m.CellCost / float64(realCells),
+	steps := job.Timesteps
+	killStep, killed := killAt[job.Name]
+	if killed {
+		steps = killStep
 	}
-	if err := heatCfg.Validate(); err != nil {
+	j, err := e.runJob(dc, ctrl, steps)
+	if err != nil {
 		return nil, err
 	}
-
-	world := mpi.NewWorld(fabric, rankNodes)
-	bridges := make([]*core.Bridge, job.Ranks)
-	for r := 0; r < job.Ranks; r++ {
-		bcfg := core.BridgeConfig{
-			Rank:              r,
-			Cluster:           dc,
-			Node:              rankNodes[r],
-			HeartbeatInterval: m.Heartbeat(DEISA3),
-			Mode:              core.ModeExternal,
-			ScatterBytes:      job.BlockBytes,
-			MetaEntries:       job.Ranks,
-			TieBreak:          cfg.TieBreak,
-			Namespace:         job.Name,
-		}
-		if ctrl != nil {
-			bcfg.Interceptor = ctrl
-		}
-		bridges[r] = core.NewBridge(bcfg)
-	}
-
-	simEnds := make([]float64, job.Ranks)
-	errs := make(chan error, job.Ranks+1)
-
-	var analytics analyticsResult
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		a, aerr := runJobAnalytics(cfg, jcfg, job, dc, clientNode, va, killed, killStep)
-		if aerr != nil {
-			errs <- fmt.Errorf("analytics: %w", aerr)
-			return
-		}
-		analytics = a
-	}()
-
-	init := sim.HotSpotInitial(heatCfg)
-	world.Run(0, func(c *mpi.Comm) {
-		r := c.Rank()
-		h, herr := sim.New(heatCfg, c, init)
-		if herr != nil {
-			errs <- herr
-			return
-		}
-		sys, serr := newDeisaRankSystem(jcfg, r, bridges[r])
-		if serr != nil {
-			errs <- serr
-			return
-		}
-		end, berr := sys.Event("init", 0)
-		if berr != nil {
-			errs <- fmt.Errorf("rank %d init: %w", r, berr)
-			return
-		}
-		c.Clock().Sync(end)
-		for step := 0; step < job.Timesteps; step++ {
-			h.Step()
-			t1 := c.Now()
-			sys.Expose("step", step)
-			end, perr := sys.Share("temp", h.Local(), t1)
-			if perr != nil {
-				errs <- fmt.Errorf("rank %d step %d: %w", r, step, perr)
-				return
-			}
-			c.Clock().Sync(end)
-		}
-		if _, ferr := sys.Finalize(c.Now()); ferr != nil {
-			errs <- ferr
-			return
-		}
-		simEnds[r] = c.Now()
-	})
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, err
-	}
-
 	res := &JobResult{
 		Name:              job.Name,
 		Weight:            job.Weight,
 		Killed:            killed,
 		KilledStep:        killStep,
-		Components:        analytics.components,
-		SingularValues:    analytics.singularValues,
-		ExplainedVariance: analytics.explainedVariance,
-		SimMakespan:       vtime.MaxTime(simEnds...),
-		AnalyticsTime:     analytics.duration,
+		Components:        j.analytics.components,
+		SingularValues:    j.analytics.singularValues,
+		ExplainedVariance: j.analytics.explainedVariance,
+		SimMakespan:       vtime.MaxTime(j.simEnds...),
+		AnalyticsTime:     j.analytics.duration,
 	}
-	for _, b := range bridges {
+	for _, b := range j.bridges {
 		sent, skipped := b.Stats()
 		res.BlocksSent += sent
 		res.BlocksSkipped += skipped
 	}
 	res.Fingerprint = res.fingerprint()
 	return res, nil
-}
-
-// runJobAnalytics is the namespaced Listing-2 flow for one tenant:
-// descriptors, (possibly truncated) selection, contract, one graph.
-// A job killed at step 0 consumes nothing: it publishes an empty
-// contract — unblocking the bridges, which then filter every block —
-// and returns empty results.
-func runJobAnalytics(cfg *MultiJobConfig, jcfg Config, job JobSpec, dc *dask.Cluster,
-	clientNode netsim.NodeID, va *core.VirtualArray, killed bool, killStep int) (analyticsResult, error) {
-	d := core.ConnectNamespaced(dc, clientNode, job.Name)
-	set, err := d.GetDeisaArrays()
-	if err != nil {
-		return analyticsResult{}, err
-	}
-	steps := job.Timesteps
-	if killed && killStep < steps {
-		steps = killStep
-	}
-	if steps == 0 {
-		// ValidateContract rejects empty selections, so publish the empty
-		// contract directly; the job yields no analytics values.
-		d.Client().Variable(core.NamespacedVariable(job.Name, core.ContractVariable)).Set(core.NewContract())
-		return analyticsResult{duration: d.Client().Now()}, nil
-	}
-	da, err := set.Get(ArrayName)
-	if err != nil {
-		return analyticsResult{}, err
-	}
-	if steps < job.Timesteps {
-		da.Select(
-			array.Range{Start: 0, Stop: steps},
-			array.Range{Start: 0, Stop: cfg.RealLocalX},
-			array.Range{Start: 0, Stop: job.Ranks * cfg.RealLocalY},
-		)
-	} else {
-		da.SelectAll()
-	}
-	if _, err := set.ValidateContract(); err != nil {
-		return analyticsResult{}, err
-	}
-
-	pipe := newNamespacedPipeline(jcfg, job.Name)
-	g := taskgraph.New()
-	var prev taskgraph.Key
-	for t := 0; t < steps; t++ {
-		sketches := make([]taskgraph.Key, 0, job.Ranks)
-		for b := 0; b < job.Ranks; b++ {
-			blockKey := va.BlockKey([]int{t, 0, b})
-			sketches = append(sketches,
-				pipe.addFoldSketch(g, fmt.Sprintf("t%03d-b%04d", t, b), blockKey))
-		}
-		prev = pipe.addFit(g, taskgraph.Key(fmt.Sprintf("ipca-state-%03d", t)), prev, sketches)
-	}
-	targets := pipe.addExtract(g, "ipca", prev)
-	futs, err := d.Client().Submit(g, targets)
-	if err != nil {
-		return analyticsResult{}, err
-	}
-	vals, err := d.Client().Gather(futs)
-	if err != nil {
-		return analyticsResult{}, err
-	}
-	out := extractResults(vals)
-	out.duration = d.Client().Now()
-	return out, nil
 }

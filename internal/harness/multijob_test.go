@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -153,6 +154,41 @@ func TestMultiJobKilljobAtStepZero(t *testing.T) {
 	}
 }
 
+// TestOneTenantMatchesRun: a single tenant on the multi-job platform is
+// the single-job DEISA3 pipeline — the same analytics values, the same
+// blocks shipped and the same tasks registered.
+func TestOneTenantMatchesRun(t *testing.T) {
+	single, err := Run(Config{
+		System: DEISA3, Ranks: 2, Workers: 2,
+		Timesteps: 3, BlockBytes: 1 * MiB, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := RunMultiJob(mjConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant := multi.Jobs[0]
+	if !reflect.DeepEqual(single.Components.Data(), tenant.Components.Data()) ||
+		!reflect.DeepEqual(single.Components.Shape(), tenant.Components.Shape()) {
+		t.Fatal("components differ between Run and a one-tenant RunMultiJob")
+	}
+	if !reflect.DeepEqual(single.SingularValues, tenant.SingularValues) {
+		t.Fatalf("singular values %v vs %v", single.SingularValues, tenant.SingularValues)
+	}
+	if !reflect.DeepEqual(single.ExplainedVariance, tenant.ExplainedVariance) {
+		t.Fatalf("explained variance %v vs %v", single.ExplainedVariance, tenant.ExplainedVariance)
+	}
+	if single.BlocksSent != 6 || tenant.BlocksSent != single.BlocksSent {
+		t.Fatalf("blocks sent: Run %d, tenant %d, want 6", single.BlocksSent, tenant.BlocksSent)
+	}
+	const registered = "dask/tasks_registered"
+	if s, m := single.Metrics.Counter(registered), multi.Metrics.Counter(registered); s != 18 || m != s {
+		t.Fatalf("%s: Run %d, tenant %d, want 18", registered, s, m)
+	}
+}
+
 func TestMultiJobAdmissionReject(t *testing.T) {
 	cfg := mjConfig(2)
 	cfg.TenantBudget = 1 // every job estimate exceeds this
@@ -181,6 +217,16 @@ func TestMultiJobValidation(t *testing.T) {
 	if _, err := RunMultiJob(unknown); err == nil ||
 		!strings.Contains(err.Error(), "unknown tenant") {
 		t.Fatalf("unknown killjob tenant err = %v", err)
+	}
+	late := mjConfig(2)
+	plan, err = chaos.ParsePlan("killjob:bjob@3") // bjob has steps 0..2
+	if err != nil {
+		t.Fatal(err)
+	}
+	late.ChaosPlan = plan
+	if _, err := RunMultiJob(late); err == nil ||
+		!strings.Contains(err.Error(), "past job") {
+		t.Fatalf("killjob after the last step err = %v", err)
 	}
 	kills := mjConfig(1)
 	plan, err = chaos.ParsePlan("kill:0@0/1")

@@ -35,13 +35,9 @@ type pipeline struct {
 	k      int
 }
 
-func newPipeline(cfg Config) *pipeline {
-	return newNamespacedPipeline(cfg, "")
-}
-
-// newNamespacedPipeline builds a pipeline whose keys are scoped to one
-// job namespace on a shared multi-tenant cluster.
-func newNamespacedPipeline(cfg Config, ns string) *pipeline {
+// newPipeline builds a pipeline whose keys are scoped to the job
+// namespace ns ("" for none).
+func newPipeline(cfg Config, ns string) *pipeline {
 	f := cfg.Model.FeaturesModel
 	n := int(cfg.BlockBytes / 8 / int64(f))
 	if n < 1 {

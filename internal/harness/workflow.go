@@ -15,6 +15,7 @@ import (
 	"deisago/internal/metrics"
 	"deisago/internal/mpi"
 	"deisago/internal/ndarray"
+	"deisago/internal/netsim"
 	"deisago/internal/pfs"
 	"deisago/internal/sim"
 	"deisago/internal/taskgraph"
@@ -200,23 +201,22 @@ func Run(cfg Config) (*Result, error) {
 	return runPostHoc(cfg)
 }
 
-// env bundles the per-run platform objects.
-type env struct {
-	cfg     Config
+// platform is one run's deployment: the allocated machine, the placement
+// of scheduler, workers, client and ranks on it, and the metrics registry
+// everything on it reports to. A single-job run builds one for its own
+// ranks; a multi-job run builds one for all tenants' ranks together.
+type platform struct {
+	model   Model
 	machine *cluster.Machine
 	place   cluster.Placement
-	layout  cluster.Layout
-	va      *core.VirtualArray
-	pipe    *pipeline
-	heatCfg sim.Config
+	reg     *metrics.Registry
 }
 
-func setup(cfg Config) (*env, error) {
-	m := cfg.Model
+func newPlatform(m Model, workers, ranks int, seed int64) *platform {
 	layout := cluster.Layout{
-		Workers:        cfg.Workers,
+		Workers:        workers,
 		WorkersPerNode: m.WorkersPerNode,
-		Ranks:          cfg.Ranks,
+		Ranks:          ranks,
 		RanksPerNode:   m.RanksPerNode,
 	}
 	nodes := m.MachineNodes
@@ -224,16 +224,44 @@ func setup(cfg Config) (*env, error) {
 		nodes = need
 	}
 	net := m.Net
-	net.Seed = cfg.Seed
+	net.Seed = seed
 	machine := cluster.NewMachine(net, nodes, m.CoresPerNode)
-	alloc := machine.Allocate(layout.NodesNeeded(), cfg.Seed)
-	place := alloc.Place(layout)
+	place := machine.Allocate(layout.NodesNeeded(), seed).Place(layout)
+	reg := metrics.NewRegistry()
+	machine.Fabric().UseMetrics(reg)
+	return &platform{model: m, machine: machine, place: place, reg: reg}
+}
 
+// newCluster deploys Dask on the platform's scheduler and worker nodes.
+func (p *platform) newCluster(memLimit int64, tb dask.TieBreaker) *dask.Cluster {
+	d := p.model.Dask
+	d.MetadataEntryCost = p.model.MetaEntryCost
+	d.WorkerMemoryLimit = memLimit
+	d.TieBreak = tb
+	d.Metrics = p.reg
+	return dask.NewCluster(p.machine.Fabric(), d, p.place.SchedulerNode, p.place.WorkerNodes)
+}
+
+// env is one job on a platform: its configuration, namespace ("" on
+// single-job runs) and rank nodes, the virtual array its ranks publish,
+// the Heat2D decomposition and the IPCA task builder.
+type env struct {
+	*platform
+	cfg       Config
+	ns        string
+	rankNodes []netsim.NodeID
+	va        *core.VirtualArray
+	pipe      *pipeline
+	heatCfg   sim.Config
+}
+
+func newEnv(p *platform, cfg Config, ns string, rankNodes []netsim.NodeID) (*env, error) {
 	va := &core.VirtualArray{
-		Name:    ArrayName,
-		Size:    []int{cfg.Timesteps, cfg.RealLocalX, cfg.RealLocalY * cfg.Ranks},
-		Subsize: []int{1, cfg.RealLocalX, cfg.RealLocalY},
-		TimeDim: 0,
+		Name:      ArrayName,
+		Namespace: ns,
+		Size:      []int{cfg.Timesteps, cfg.RealLocalX, cfg.RealLocalY * cfg.Ranks},
+		Subsize:   []int{1, cfg.RealLocalX, cfg.RealLocalY},
+		TimeDim:   0,
 	}
 	if err := va.Validate(); err != nil {
 		return nil, err
@@ -246,44 +274,49 @@ func setup(cfg Config) (*env, error) {
 		ProcX:    1,
 		ProcY:    cfg.Ranks,
 		Alpha:    0.2,
-		CellCost: float64(modelCells) * m.CellCost / float64(realCells),
+		CellCost: float64(modelCells) * cfg.Model.CellCost / float64(realCells),
 	}
 	if err := heatCfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &env{
-		cfg:     cfg,
-		machine: machine,
-		place:   place,
-		layout:  layout,
-		va:      va,
-		pipe:    newPipeline(cfg),
-		heatCfg: heatCfg,
+		platform:  p,
+		cfg:       cfg,
+		ns:        ns,
+		rankNodes: rankNodes,
+		va:        va,
+		pipe:      newPipeline(cfg, ns),
+		heatCfg:   heatCfg,
 	}, nil
 }
 
-func (e *env) daskConfig() dask.Config {
-	d := e.cfg.Model.Dask
-	d.MetadataEntryCost = e.cfg.Model.MetaEntryCost
-	d.WorkerMemoryLimit = e.cfg.WorkerMemoryLimit
-	d.TieBreak = e.cfg.TieBreak
-	return d
+// setup builds a single-job run: a platform of its own, the job on all
+// of its ranks.
+func setup(cfg Config) (*env, error) {
+	p := newPlatform(cfg.Model, cfg.Workers, cfg.Ranks, cfg.Seed)
+	return newEnv(p, cfg, "", p.place.RankNodes)
 }
 
-func (e *env) simNodes() int {
-	return (e.cfg.Ranks + e.cfg.Model.RanksPerNode - 1) / e.cfg.Model.RanksPerNode
-}
-
-func (e *env) analyticsNodes() int {
-	return 2 + (e.cfg.Workers+e.cfg.Model.WorkersPerNode-1)/e.cfg.Model.WorkersPerNode
+// deploy starts a single-job run's Dask cluster with the run's tracing
+// and auditing switches.
+func (e *env) deploy() *dask.Cluster {
+	dc := e.newCluster(e.cfg.WorkerMemoryLimit, e.cfg.TieBreak)
+	if e.cfg.EnableTrace {
+		dc.EnableTracing()
+	}
+	if e.cfg.EnableAudit {
+		dc.EnableAudit()
+	}
+	return dc
 }
 
 // aggregate fills the measurement part of a Result.
-func aggregate(cfg Config, e *env, stepDur, commDur [][]float64, simEnds []float64) *Result {
+func (e *env) aggregate(stepDur, commDur [][]float64, simEnds []float64) *Result {
+	cfg, m := e.cfg, e.cfg.Model
 	res := &Result{
 		Config:         cfg,
-		SimNodes:       e.simNodes(),
-		AnalyticsNodes: e.analyticsNodes(),
+		SimNodes:       (cfg.Ranks + m.RanksPerNode - 1) / m.RanksPerNode,
+		AnalyticsNodes: 2 + (cfg.Workers+m.WorkersPerNode-1)/m.WorkersPerNode,
 	}
 	var steps, comms []float64
 	for r := 0; r < cfg.Ranks; r++ {
@@ -300,34 +333,17 @@ func aggregate(cfg Config, e *env, stepDur, commDur [][]float64, simEnds []float
 	return res
 }
 
-// runInTransit executes DEISA1/2/3.
+// runInTransit executes DEISA1/2/3 as the only job on its own platform.
 func runInTransit(cfg Config) (*Result, error) {
 	e, err := setup(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m := cfg.Model
-	reg := metrics.NewRegistry()
-	e.machine.Fabric().UseMetrics(reg)
-	world := mpi.NewWorld(e.machine.Fabric(), e.place.RankNodes)
-	dcfg := e.daskConfig()
-	dcfg.Metrics = reg
-	dc := dask.NewCluster(e.machine.Fabric(), dcfg, e.place.SchedulerNode, e.place.WorkerNodes)
+	dc := e.deploy()
 	defer dc.Close()
-	if cfg.EnableTrace {
-		dc.EnableTracing()
-	}
-	if cfg.EnableAudit {
-		dc.EnableAudit()
-	}
-
-	mode := core.ModeExternal
-	if cfg.System == DEISA1 {
-		mode = core.ModeDEISA1
-	}
 	var ctrl *chaos.Controller
 	if cfg.ChaosPlan != nil {
-		if mode != core.ModeExternal {
+		if cfg.System == DEISA1 {
 			return nil, fmt.Errorf("harness: chaos injection needs an external-mode system, got %s", cfg.System)
 		}
 		dc.EnableAudit()
@@ -337,7 +353,70 @@ func runInTransit(cfg Config) (*Result, error) {
 		}
 		ctrl.InstallLinkFaults(e.machine.Fabric())
 	}
-	hb := m.Heartbeat(cfg.System)
+	j, err := e.runJob(dc, ctrl, cfg.Timesteps)
+	if err != nil {
+		return nil, err
+	}
+
+	res := e.aggregate(j.stepDur, j.commDur, j.simEnds)
+	for _, b := range j.bridges {
+		sent, skipped := b.Stats()
+		res.BlocksSent += sent
+		res.BlocksSkipped += skipped
+		retries, repub := b.RetryStats()
+		res.PublishRetries += retries
+		res.Republished += repub
+	}
+	if ctrl != nil {
+		res.ChaosLog = ctrl.Log()
+	}
+	e.finish(res, dc, j.analytics, 0)
+	res.Metrics = e.reg.Snapshot()
+	return res, nil
+}
+
+// finish records the analytics outputs (the analytics started at virtual
+// time start) and the cluster's counters, trace and audit log on res, and
+// closes the utilization gauges at the end of the run, which it returns.
+func (e *env) finish(res *Result, dc *dask.Cluster, a analyticsResult, start vtime.Time) vtime.Time {
+	res.AnalyticsTime = a.duration
+	res.Components = a.components
+	res.SingularValues = a.singularValues
+	res.ExplainedVariance = a.explainedVariance
+	res.Counters = dc.Counters().Snapshot()
+	res.Trace = dc.TraceEvents()
+	_, res.FabricBytes = e.machine.Fabric().Transfers()
+	if dc.AuditEnabled() {
+		res.AuditLog = dc.AuditLog()
+		res.AuditTruncated = dc.AuditTruncated()
+	}
+	end := vtime.MaxTime(res.SimMakespan, start+res.AnalyticsTime)
+	dc.RecordUtilization(end)
+	e.machine.Fabric().RecordUtilization(end)
+	return end
+}
+
+// jobRun is what one in-transit job measured.
+type jobRun struct {
+	stepDur, commDur [][]float64
+	simEnds          []float64
+	analytics        analyticsResult
+	bridges          []*core.Bridge
+}
+
+// runJob drives one in-transit job on a deployed cluster: its MPI world
+// and bridges on the simulation side, its adaptor, contract and analytics
+// graphs on the other. The analytics consume the first steps timesteps
+// (fewer than cfg.Timesteps when the job is killed). ctrl, when non-nil,
+// intercepts every publish; once the rank loop is done, blocks lost to
+// worker kills are republished.
+func (e *env) runJob(dc *dask.Cluster, ctrl *chaos.Controller, steps int) (*jobRun, error) {
+	cfg := e.cfg
+	mode := core.ModeExternal
+	if cfg.System == DEISA1 {
+		mode = core.ModeDEISA1
+	}
+	hb := e.model.Heartbeat(cfg.System)
 	if cfg.HeartbeatOverride > 0 {
 		hb = cfg.HeartbeatOverride
 	}
@@ -353,13 +432,14 @@ func runInTransit(cfg Config) (*Result, error) {
 		bcfg := core.BridgeConfig{
 			Rank:              r,
 			Cluster:           dc,
-			Node:              e.place.RankNodes[r],
+			Node:              e.rankNodes[r],
 			HeartbeatInterval: hb,
 			Mode:              mode,
 			ScatterBytes:      cfg.BlockBytes,
 			MetaEntries:       cfg.Ranks,
 			PlaceWorker:       place,
 			TieBreak:          cfg.TieBreak,
+			Namespace:         e.ns,
 		}
 		if ctrl != nil {
 			bcfg.Interceptor = ctrl
@@ -379,7 +459,7 @@ func runInTransit(cfg Config) (*Result, error) {
 		defer wg.Done()
 		var aerr error
 		if cfg.System.NewIPCA() {
-			analytics, aerr = runNewIPCAInTransit(e, dc)
+			analytics, aerr = runNewIPCAInTransit(e, dc, steps)
 		} else {
 			analytics, aerr = runOldIPCADeisa1(e, dc)
 		}
@@ -388,6 +468,7 @@ func runInTransit(cfg Config) (*Result, error) {
 		}
 	}()
 
+	world := mpi.NewWorld(e.machine.Fabric(), e.rankNodes)
 	init := sim.HotSpotInitial(e.heatCfg)
 	world.Run(0, func(c *mpi.Comm) {
 		r := c.Rank()
@@ -457,35 +538,13 @@ func runInTransit(cfg Config) (*Result, error) {
 	for err := range errs {
 		return nil, err
 	}
-
-	res := aggregate(cfg, e, stepDur, commDur, simEnds)
-	res.AnalyticsTime = analytics.duration
-	res.Components = analytics.components
-	res.SingularValues = analytics.singularValues
-	res.ExplainedVariance = analytics.explainedVariance
-	res.Counters = dc.Counters().Snapshot()
-	res.Trace = dc.TraceEvents()
-	_, res.FabricBytes = e.machine.Fabric().Transfers()
-	for _, b := range bridges {
-		sent, skipped := b.Stats()
-		res.BlocksSent += sent
-		res.BlocksSkipped += skipped
-		retries, repub := b.RetryStats()
-		res.PublishRetries += retries
-		res.Republished += repub
-	}
-	if ctrl != nil {
-		res.ChaosLog = ctrl.Log()
-	}
-	if dc.AuditEnabled() {
-		res.AuditLog = dc.AuditLog()
-		res.AuditTruncated = dc.AuditTruncated()
-	}
-	end := vtime.MaxTime(res.SimMakespan, res.AnalyticsTime)
-	dc.RecordUtilization(end)
-	e.machine.Fabric().RecordUtilization(end)
-	res.Metrics = reg.Snapshot()
-	return res, nil
+	return &jobRun{
+		stepDur:   stepDur,
+		commDur:   commDur,
+		simEnds:   simEnds,
+		analytics: analytics,
+		bridges:   bridges,
+	}, nil
 }
 
 // runPostHoc executes the DASK baseline: simulation writes chunked files
@@ -495,11 +554,8 @@ func runPostHoc(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := cfg.Model
-	reg := metrics.NewRegistry()
-	e.machine.Fabric().UseMetrics(reg)
-	fs := pfs.New(m.PFS)
-	fs.UseMetrics(reg)
+	fs := pfs.New(cfg.Model.PFS)
+	fs.UseMetrics(e.reg)
 	file, t0 := h5.Create(fs, "sim.h5", 0)
 	ds, t0, err := file.CreateDataset(ArrayName, e.va.Size, e.va.Subsize, t0)
 	if err != nil {
@@ -512,7 +568,7 @@ func runPostHoc(cfg Config) (*Result, error) {
 	}
 	ds.SetSizeScale(scale)
 
-	world := mpi.NewWorld(e.machine.Fabric(), e.place.RankNodes)
+	world := mpi.NewWorld(e.machine.Fabric(), e.rankNodes)
 	stepDur := newMatrix(cfg.Ranks, cfg.Timesteps)
 	writeDur := newMatrix(cfg.Ranks, cfg.Timesteps)
 	simEnds := make([]float64, cfg.Ranks)
@@ -559,16 +615,8 @@ func runPostHoc(cfg Config) (*Result, error) {
 	fs.ReleaseBefore(simEnd)
 
 	// Analytics phase: a fresh Dask deployment reading from the PFS.
-	dcfg := e.daskConfig()
-	dcfg.Metrics = reg
-	dc := dask.NewCluster(e.machine.Fabric(), dcfg, e.place.SchedulerNode, e.place.WorkerNodes)
+	dc := e.deploy()
 	defer dc.Close()
-	if cfg.EnableTrace {
-		dc.EnableTracing()
-	}
-	if cfg.EnableAudit {
-		dc.EnableAudit()
-	}
 	client := dc.NewClient("analytics", e.place.ClientNode, math.Inf(1))
 	client.Compute(simEnd) // the analytics job starts when the data is complete
 
@@ -582,23 +630,9 @@ func runPostHoc(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := aggregate(cfg, e, stepDur, writeDur, simEnds)
-	res.Trace = dc.TraceEvents()
-	_, res.FabricBytes = e.machine.Fabric().Transfers()
-	res.AnalyticsTime = analytics.duration
-	res.Components = analytics.components
-	res.SingularValues = analytics.singularValues
-	res.ExplainedVariance = analytics.explainedVariance
-	res.Counters = dc.Counters().Snapshot()
-	if dc.AuditEnabled() {
-		res.AuditLog = dc.AuditLog()
-		res.AuditTruncated = dc.AuditTruncated()
-	}
-	end := vtime.MaxTime(res.SimMakespan, simEnd+res.AnalyticsTime)
-	dc.RecordUtilization(end)
-	e.machine.Fabric().RecordUtilization(end)
-	fs.RecordUtilization(end)
-	res.Metrics = reg.Snapshot()
+	res := e.aggregate(stepDur, writeDur, simEnds)
+	fs.RecordUtilization(e.finish(res, dc, analytics, simEnd))
+	res.Metrics = e.reg.Snapshot()
 	return res, nil
 }
 
@@ -618,22 +652,24 @@ type analyticsResult struct {
 	explainedVariance []float64
 }
 
-func extractResults(vals []any) analyticsResult {
-	return analyticsResult{
-		components:        vals[0].(*ndarray.Array),
-		singularValues:    vals[1].([]float64),
-		explainedVariance: vals[2].([]float64),
-	}
-}
-
 // runNewIPCAInTransit is the Listing-2 flow: descriptors, selection,
-// contract, then one ahead-of-time graph over every external block.
-func runNewIPCAInTransit(e *env, dc *dask.Cluster) (analyticsResult, error) {
+// contract, then one ahead-of-time graph over the selected external
+// blocks — the first steps timesteps of the SelectFraction share of the
+// domain. A job killed at step 0 consumes nothing: it publishes an empty
+// contract, which unblocks the bridges to filter every block, and
+// returns empty results.
+func runNewIPCAInTransit(e *env, dc *dask.Cluster, steps int) (analyticsResult, error) {
 	cfg := e.cfg
-	d := core.Connect(dc, e.place.ClientNode)
+	d := core.ConnectNamespaced(dc, e.place.ClientNode, e.ns)
 	set, err := d.GetDeisaArrays()
 	if err != nil {
 		return analyticsResult{}, err
+	}
+	if steps == 0 {
+		// ValidateContract rejects empty selections, so publish the empty
+		// contract directly.
+		d.Client().Variable(core.NamespacedVariable(e.ns, core.ContractVariable)).Set(core.NewContract())
+		return analyticsResult{duration: d.Client().Now()}, nil
 	}
 	da, err := set.Get(ArrayName)
 	if err != nil {
@@ -641,12 +677,11 @@ func runNewIPCAInTransit(e *env, dc *dask.Cluster) (analyticsResult, error) {
 	}
 	blocks := cfg.Ranks
 	if f := cfg.SelectFraction; f > 0 && f < 1 {
-		blocks = int(f * float64(cfg.Ranks))
-		if blocks < 1 {
-			blocks = 1
-		}
+		blocks = max(int(f*float64(cfg.Ranks)), 1)
+	}
+	if steps < cfg.Timesteps || blocks < cfg.Ranks {
 		da.Select(
-			array.Range{Start: 0, Stop: cfg.Timesteps},
+			array.Range{Start: 0, Stop: steps},
 			array.Range{Start: 0, Stop: cfg.RealLocalX},
 			array.Range{Start: 0, Stop: blocks * cfg.RealLocalY},
 		)
@@ -657,42 +692,29 @@ func runNewIPCAInTransit(e *env, dc *dask.Cluster) (analyticsResult, error) {
 		return analyticsResult{}, err
 	}
 
+	return e.submitIPCA(d.Client(), steps, blocks, func(_ *taskgraph.Graph, _ string, t, b int) taskgraph.Key {
+		return e.va.BlockKey([]int{t, 0, b})
+	})
+}
+
+// submitIPCA builds the new IPCA as one ahead-of-time graph over
+// steps×blocks inputs — a fold and sketch per block, a fit per step, the
+// extraction — and submits it through gatherExtract. input supplies
+// block b of step t, adding read tasks to g when the data lives on
+// storage.
+func (e *env) submitIPCA(client *dask.Client, steps, blocks int,
+	input func(g *taskgraph.Graph, suffix string, t, b int) taskgraph.Key) (analyticsResult, error) {
 	g := taskgraph.New()
 	var prev taskgraph.Key
-	for t := 0; t < cfg.Timesteps; t++ {
+	for t := 0; t < steps; t++ {
 		sketches := make([]taskgraph.Key, 0, blocks)
 		for b := 0; b < blocks; b++ {
-			blockKey := e.va.BlockKey([]int{t, 0, b})
-			sketches = append(sketches,
-				e.pipe.addFoldSketch(g, fmt.Sprintf("t%03d-b%04d", t, b), blockKey))
+			suffix := fmt.Sprintf("t%03d-b%04d", t, b)
+			sketches = append(sketches, e.pipe.addFoldSketch(g, suffix, input(g, suffix, t, b)))
 		}
 		prev = e.pipe.addFit(g, taskgraph.Key(fmt.Sprintf("ipca-state-%03d", t)), prev, sketches)
 	}
-	targets := e.pipe.addExtract(g, "ipca", prev)
-	g = e.maybeFuse(g, targets)
-	futs, err := d.Client().Submit(g, targets)
-	if err != nil {
-		return analyticsResult{}, err
-	}
-	vals, err := d.Client().Gather(futs)
-	if err != nil {
-		return analyticsResult{}, err
-	}
-	out := extractResults(vals)
-	out.duration = d.Client().Now()
-	return out, nil
-}
-
-// maybeFuse applies the fuse optimization when configured.
-func (e *env) maybeFuse(g *taskgraph.Graph, targets []taskgraph.Key) *taskgraph.Graph {
-	if !e.cfg.FuseGraphs {
-		return g
-	}
-	keep := map[taskgraph.Key]bool{}
-	for _, t := range targets {
-		keep[t] = true
-	}
-	return taskgraph.Fuse(g, keep)
+	return e.gatherExtract(client, g, prev, e.cfg.FuseGraphs)
 }
 
 // runOldIPCADeisa1 is the DEISA1 analytics driver: per-timestep queue
@@ -718,35 +740,18 @@ func runOldIPCADeisa1(e *env, dc *dask.Cluster) (analyticsResult, error) {
 			return analyticsResult{}, err
 		}
 	}
-	return gatherExtract(e, client, prev)
+	return e.gatherExtract(client, taskgraph.New(), prev, false)
 }
 
 // runNewIPCAPostHoc reads every chunk once inside a single graph.
 func runNewIPCAPostHoc(e *env, client *dask.Client, ds *h5.Dataset, start float64) (analyticsResult, error) {
-	cfg := e.cfg
-	g := taskgraph.New()
-	var prev taskgraph.Key
-	for t := 0; t < cfg.Timesteps; t++ {
-		sketches := make([]taskgraph.Key, 0, cfg.Ranks)
-		for b := 0; b < cfg.Ranks; b++ {
-			read := e.pipe.addRead(g, fmt.Sprintf("t%03d-b%04d", t, b), ds, t, b)
-			sketches = append(sketches,
-				e.pipe.addFoldSketch(g, fmt.Sprintf("t%03d-b%04d", t, b), read))
-		}
-		prev = e.pipe.addFit(g, taskgraph.Key(fmt.Sprintf("ipca-state-%03d", t)), prev, sketches)
-	}
-	targets := e.pipe.addExtract(g, "ipca", prev)
-	g = e.maybeFuse(g, targets)
-	futs, err := client.Submit(g, targets)
+	out, err := e.submitIPCA(client, e.cfg.Timesteps, e.cfg.Ranks, func(g *taskgraph.Graph, suffix string, t, b int) taskgraph.Key {
+		return e.pipe.addRead(g, suffix, ds, t, b)
+	})
 	if err != nil {
 		return analyticsResult{}, err
 	}
-	vals, err := client.Gather(futs)
-	if err != nil {
-		return analyticsResult{}, err
-	}
-	out := extractResults(vals)
-	out.duration = client.Now() - start
+	out.duration -= start
 	return out, nil
 }
 
@@ -764,7 +769,7 @@ func runOldIPCAPostHoc(e *env, client *dask.Client, ds *h5.Dataset, start float6
 			return analyticsResult{}, err
 		}
 	}
-	out, err := gatherExtract(e, client, prev)
+	out, err := e.gatherExtract(client, taskgraph.New(), prev, false)
 	if err != nil {
 		return analyticsResult{}, err
 	}
@@ -825,11 +830,19 @@ func oldIPCAStep(e *env, client *dask.Client, t int, prev taskgraph.Key,
 	return stateKey, nil
 }
 
-// gatherExtract submits the extraction graph for the final state and
-// gathers the results.
-func gatherExtract(e *env, client *dask.Client, state taskgraph.Key) (analyticsResult, error) {
-	g := taskgraph.New()
+// gatherExtract adds the extraction tasks for the final state to g,
+// applies the fuse optimization (dask.optimization.fuse) when asked,
+// submits the graph and gathers the results; their duration is the
+// client's clock at completion.
+func (e *env) gatherExtract(client *dask.Client, g *taskgraph.Graph, state taskgraph.Key, fuse bool) (analyticsResult, error) {
 	targets := e.pipe.addExtract(g, "ipca", state)
+	if fuse {
+		keep := map[taskgraph.Key]bool{}
+		for _, t := range targets {
+			keep[t] = true
+		}
+		g = taskgraph.Fuse(g, keep)
+	}
 	futs, err := client.Submit(g, targets)
 	if err != nil {
 		return analyticsResult{}, err
@@ -838,7 +851,10 @@ func gatherExtract(e *env, client *dask.Client, state taskgraph.Key) (analyticsR
 	if err != nil {
 		return analyticsResult{}, err
 	}
-	out := extractResults(vals)
-	out.duration = client.Now()
-	return out, nil
+	return analyticsResult{
+		duration:          client.Now(),
+		components:        vals[0].(*ndarray.Array),
+		singularValues:    vals[1].([]float64),
+		explainedVariance: vals[2].([]float64),
+	}, nil
 }

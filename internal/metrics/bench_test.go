@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkRegistryLookup measures resolving an existing instrument by
 // identity — the cost every call site that has not hoisted its handle
 // pays per event. The hot read path must be lock-free and allocation
-// free (the label key is rendered into a stack buffer); both properties
-// are gated in BENCH_NET.json (ns/op ceiling, max_allocs_per_op 0).
+// free (the label key is rendered into a stack buffer); the latter is
+// pinned by TestLookupZeroAlloc.
 func BenchmarkRegistryLookup(b *testing.B) {
 	warm := func() *Registry {
 		r := NewRegistry()

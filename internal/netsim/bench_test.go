@@ -28,11 +28,27 @@ func benchConfig() Config {
 // benchPairs bounds the distinct node pairs handed to parallel senders.
 const benchPairs = 128
 
+// TestFabricTransferZeroAlloc pins the warm instrumented transfer path
+// (fabric totals, per-link byte counters, queue-wait histograms)
+// allocation free.
+// Every transfer departs at time 0 and the uplinks are unpruned, so each
+// cross-spine booking queues flush behind the previous one on all four
+// links: the links' booking tables stay one interval long and any
+// allocation is the transfer path's own.
+func TestFabricTransferZeroAlloc(t *testing.T) {
+	cfg := benchConfig()
+	cfg.PruneFactor = 1
+	f := New(cfg, 2)
+	f.UseMetrics(metrics.NewRegistry())
+	f.Transfer(0, 1, 1<<20, 0) // resolve the instruments
+	if avg := testing.AllocsPerRun(200, func() { f.Transfer(0, 1, 1<<20, 0) }); avg != 0 {
+		t.Fatalf("instrumented transfer allocates %v times, want 0", avg)
+	}
+}
+
 // BenchmarkFabricTransfer measures the full instrumented 4-hop transfer
-// path (fabric totals, per-link byte counters, queue-wait histograms).
-// The serial and parallel variants do identical per-op work on the same
-// topology; their ratio is the fabric's contention scalability and is
-// gated in BENCH_NET.json (>=2x on >=4 cores, not-slower on 1 core).
+// path. The serial and parallel variants do identical per-op work on the
+// same topology; their ratio is the fabric's contention scalability.
 // Each sender departs its next transfer at the previous arrival, so its
 // links stay uncongested and per-op cost does not drift with b.N.
 func BenchmarkFabricTransfer(b *testing.B) {

@@ -3,8 +3,9 @@
 # the packages with parallel kernels or concurrent runtime machinery
 # (with the scheduler invariant auditor on and a fixed chaos seed), and
 # short fuzz smokes of the scheduler auditor and the worker memory
-# governor, then a bench-regression gate over the scheduler scalability
-# suite (see BENCH_SCHED.json).
+# governor, the schedule-space and multi-tenant gates, and the
+# benchmark's own tests (bench/ is a module of its own; run the
+# benchmark itself with `bash bench/run.sh`, see BENCHMARK.json).
 # Usage: ./scripts/check.sh
 set -eu
 
@@ -100,18 +101,6 @@ go test -count=1 -run 'TestExploreSchedulesIdentical|TestExploreChaosSchedulesId
 go test -count=1 -run 'TestMutantCaughtAndShrunk' ./internal/simtest
 go test -tags daskmutant -count=1 -run 'TestMutantCaughtAndShrunk' ./internal/simtest
 
-echo "== scheduler bench regression gate =="
-# Compare a fresh T x R sweep against the pr4 baselines in
-# BENCH_SCHED.json; benchgate fails on >15% ns/task growth or any
-# allocs/task regression. -benchtime 5x keeps the sweep fast, and
-# -count=5 with benchgate's best-of-N parsing absorbs CPU contention
-# (on a single-core box any background burst lands inside some
-# repetition; the minimum is the honest measurement). The SpillPath
-# pair rides along: zero_spill pins "governance is free when nothing
-# spills", spill_heavy bounds the spill/unspill machinery.
-go test -run xxx -bench 'BenchmarkSched(Submit|Drive)|BenchmarkSpillPath' -benchtime 5x -count 5 ./internal/dask \
-    | go run ./scripts/benchgate -baseline BENCH_SCHED.json
-
 echo "== harness parallel-determinism gate (-race) =="
 # The sweep helpers fan independent simulations onto a bounded pool;
 # every deterministic run output (canonical counters, analytics values,
@@ -120,41 +109,15 @@ echo "== harness parallel-determinism gate (-race) =="
 go test -race -count=1 -run 'TestSweepParallelDeterminism|TestChaosParallelDeterminism|TestRunPool' \
     ./internal/harness
 
-echo "== data-plane / sweep bench regression gate =="
-# Compare the resource-compaction, Summarize and pipeline benchmarks
-# against BENCH_PIPELINE.json: >15% ns/op or >2% allocs/op growth fails,
-# and the recorded speedup claims (compaction >=x5; sweep parallelism
-# >=x3 on >=4 cores, not-slower elsewhere) must hold. These benches are
-# millisecond-scale and the noisiest in the suite, so -count=5 feeds
-# benchgate's best-of-N parsing (the scheduler gate gets by with 3).
-( go test -run xxx -bench 'BenchmarkResourceAcquire|BenchmarkSummarize' -benchtime 3x -count 5 ./internal/vtime ; \
-  go test -run xxx -bench 'BenchmarkPipeline' -benchtime 3x -count 5 ./internal/harness ) \
-    | go run ./scripts/benchgate -baseline BENCH_PIPELINE.json
-
 echo "== multi-tenant control-plane gate =="
 # Concurrent tenant pipelines on one shared platform. The simtest multi
 # explorer sweeps seeded schedules of a mixed workload (fault-free and
 # under a killjob cancellation) and requires bit-identical per-tenant
 # fingerprints plus a clean reference-model replay of the shared
-# scheduler's interleaved transition log. The bench gate compares
-# against BENCH_MULTIJOB.json: the fair-share pop path must stay
-# allocation free (max_allocs_per_op 0) and the 1-tenant multi-job path
-# must not be slower than the single-job driver (multijob_not_slower).
+# scheduler's interleaved transition log.
 go test -count=1 -run 'TestExploreMulti|TestMultiOverrideReplayMatchesSeededRun' ./internal/simtest
-( go test -run xxx -bench 'BenchmarkMultiJobThroughput|BenchmarkSingleJobBaseline' -benchtime 20x -count 5 ./internal/harness ; \
-  go test -run xxx -bench 'BenchmarkFairSharePop' -benchtime 50x -count 5 ./internal/dask ) \
-    | go run ./scripts/benchgate -baseline BENCH_MULTIJOB.json
 
-echo "== communication-plane bench regression gate =="
-# The lock-free fabric/metrics contract (BENCH_NET.json): the
-# instrumented transfer path and the warm registry lookup must stay
-# allocation free (max_allocs_per_op 0 hard caps), ns/op must hold, and
-# parallel senders on disjoint paths must beat one serial sender by >=x2
-# on >=4 cores (not-slower fallback on smaller machines). Fixed
-# -benchtime 50000x keeps the per-sender virtual-time tables — and so
-# the per-op cost — independent of benchmark calibration.
-go test -run xxx -bench 'BenchmarkFabricTransfer|BenchmarkRegistryLookup' -benchtime 50000x -count 5 \
-    ./internal/netsim ./internal/metrics \
-    | go run ./scripts/benchgate -baseline BENCH_NET.json
+echo "== benchmark module tests =="
+(cd bench && go test ./...)
 
 echo "OK"
