@@ -65,10 +65,10 @@ func main() {
 		res.AnalyticsTime, res.AnalyticsBandwidthMiBps(), res.SingularValues)
 	fmt.Printf("cost        : coupling %.3f core·h, analytics %.3f core·h\n",
 		res.SimCommCostCoreHours(), res.AnalyticsCostCoreHours())
-	c := res.Counters
+	c := func(name string) int64 { return res.Metrics.Counter("dask/" + name) }
 	fmt.Printf("scheduler   : %d msgs total — %d graph(s), %d update-data, %d metadata, %d queue ops, %d heartbeats, %d external tasks\n",
-		c.TotalSchedulerMsg, c.GraphsSubmitted, c.UpdateDataMsgs, c.MetadataMsgs,
-		c.QueueOps, c.Heartbeats, c.ExternalCreated)
+		c("total_scheduler_msgs"), c("graphs_submitted"), c("update_data_msgs"), c("metadata_msgs"),
+		c("queue_ops"), c("heartbeats"), c("external_created"))
 
 	if *trace != "" {
 		f, err := os.Create(*trace)

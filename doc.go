@@ -21,7 +21,7 @@
 //   - internal/pdi — the PDI data interface with a YAML-subset parser and
 //     $-expression evaluator (Listing 1);
 //   - internal/ml, internal/linalg, internal/ndarray — incremental PCA
-//     (old per-batch and new whole-graph drivers), SVD/QR, and dense
+//     (old per-batch and new whole-graph drivers), SVD, and dense
 //     n-dimensional arrays;
 //   - internal/netsim, internal/pfs, internal/h5, internal/cluster,
 //     internal/vtime — the simulated platform: pruned fat-tree fabric,

@@ -48,6 +48,6 @@ func main() {
 		k, f, res.Components.At(0, 0), res.Components.At(0, 1), res.Components.At(0, 2))
 	fmt.Println()
 	fmt.Printf("scheduler traffic   : %d external tasks, %d graphs, %d queue ops, %d heartbeats\n",
-		res.Counters.ExternalCreated, res.Counters.GraphsSubmitted,
-		res.Counters.QueueOps, res.Counters.Heartbeats)
+		res.Metrics.Counter("dask/external_created"), res.Metrics.Counter("dask/graphs_submitted"),
+		res.Metrics.Counter("dask/queue_ops"), res.Metrics.Counter("dask/heartbeats"))
 }

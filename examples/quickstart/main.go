@@ -127,7 +127,7 @@ func main() {
 
 	wg.Wait()
 	fmt.Printf("in-transit analytics result: mean=%.4f std=%.4f\n", mean, std)
-	snap := cluster.Counters().Snapshot()
+	reg := cluster.Metrics()
 	fmt.Printf("external tasks created: %d, graphs submitted: %d\n",
-		snap.ExternalCreated, snap.GraphsSubmitted)
+		reg.Counter("dask", "external_created").Load(), reg.Counter("dask", "graphs_submitted").Load())
 }

@@ -1,13 +1,52 @@
 package array
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"deisago/internal/dask"
 	"deisago/internal/ndarray"
+	"deisago/internal/netsim"
 	"deisago/internal/taskgraph"
+	"deisago/internal/vtime"
 )
+
+// valueArray builds a chunked array whose element (i,j) has value
+// i*1000+j, so any reassembly can be verified positionally.
+func valueArray(name string, shape, chunks []int) *Chunked {
+	return FromChunkTasks(name, shape, chunks, func(idx, ext []int) (taskgraph.Fn, vtime.Dur) {
+		origin := make([]int, len(idx))
+		for d := range idx {
+			origin[d] = idx[d] * chunks[d]
+		}
+		extent := append([]int(nil), ext...)
+		return func([]any) (any, error) {
+			a := ndarray.New(extent...)
+			for i := 0; i < extent[0]; i++ {
+				for j := 0; j < extent[1]; j++ {
+					a.Set(float64((origin[0]+i)*1000+origin[1]+j), i, j)
+				}
+			}
+			return a, nil
+		}, 1e-5
+	})
+}
+
+// testClusterQuickArr builds a cluster without *testing.T for quick.Check.
+func testClusterQuickArr() (*dask.Cluster, *dask.Client) {
+	cfg := netsim.Config{
+		NodesPerSwitch:  8,
+		LinkBandwidth:   1e9,
+		PruneFactor:     2,
+		HopLatency:      1e-6,
+		SoftwareLatency: 1e-5,
+	}
+	fabric := netsim.New(cfg, 4)
+	c := dask.NewCluster(fabric, dask.DefaultConfig(), 0, []netsim.NodeID{2, 3})
+	return c, c.NewClient("client", 1, math.Inf(1))
+}
 
 func gatherAll(t *testing.T, a *Chunked) *ndarray.Array {
 	t.Helper()

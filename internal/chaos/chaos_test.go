@@ -2,8 +2,10 @@ package chaos
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"deisago/internal/dask"
 	"deisago/internal/netsim"
 )
 
@@ -70,9 +72,61 @@ func TestParsePlanRejectsGarbage(t *testing.T) {
 		"delay:0/1:-1", "kill:1",
 		"memlimit:0", "memlimit:0:0@0-1", "memlimit:0:-5@0-1",
 		"memlimit:x:64@0-1", "memlimit:0:64@x-1",
+		"killjob:a", "killjob:@1", "killjob:a/b@1", "killjob:a@-1", "killjob:a@x",
 	} {
 		if _, err := ParsePlan(s); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", s)
+		}
+	}
+}
+
+// TestKillJobPlan: killjob events round-trip through the DSL, the
+// controller folds repeats to each tenant's earliest step and logs every
+// cancellation at construction, and an untriggered worker kill stays
+// pending.
+func TestKillJobPlan(t *testing.T) {
+	src := "killjob:b@2;kill:1@0/3;killjob:a@1;killjob:b@0"
+	p, err := ParsePlan(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.String(); got != src {
+		t.Fatalf("round trip:\n got %q\nwant %q", got, src)
+	}
+	fabric := netsim.New(netsim.Config{
+		NodesPerSwitch: 8, LinkBandwidth: 1e9, PruneFactor: 2,
+		HopLatency: 1e-6, SoftwareLatency: 1e-5,
+	}, 4)
+	dc := dask.NewCluster(fabric, dask.DefaultConfig(), 0, []netsim.NodeID{2, 3})
+	defer dc.Close()
+	ctrl, err := NewController(p, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctrl.Plan() != p {
+		t.Fatal("controller lost its plan")
+	}
+	if got, want := ctrl.KillJobs(), map[string]int{"a": 1, "b": 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("KillJobs = %v, want %v", got, want)
+	}
+	if got := ctrl.PendingKills(); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("PendingKills = %v, want [1]", got)
+	}
+	var lines []string
+	for _, e := range ctrl.Log() {
+		lines = append(lines, e.String())
+	}
+	want := []string{
+		"killjob tenant b from step 2 (event 0)",
+		"killjob tenant a from step 1 (event 2)",
+		"killjob tenant b from step 0 (event 3)",
+	}
+	if !reflect.DeepEqual(lines, want) {
+		t.Fatalf("log:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
+	for k := KindKillWorker; k <= KindKillJob; k++ {
+		if s := k.String(); s == "" || strings.HasPrefix(s, "Kind(") {
+			t.Errorf("kind %d has no name: %q", int(k), s)
 		}
 	}
 }

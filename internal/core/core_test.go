@@ -336,15 +336,15 @@ func TestEndToEndExternalWorkflow(t *testing.T) {
 			t.Fatalf("bridge %d stats: sent=%d skipped=%d", b.Rank(), sent, skipped)
 		}
 	}
-	snap := cluster.Counters().Snapshot()
-	if snap.ExternalCreated != 4 {
-		t.Fatalf("external tasks created = %d, want 4", snap.ExternalCreated)
+	snap := cluster.Metrics().Snapshot()
+	if snap.Counter("dask/external_created") != 4 {
+		t.Fatalf("external tasks created = %d, want 4", snap.Counter("dask/external_created"))
 	}
-	if snap.QueueOps != 0 {
-		t.Fatalf("external mode used queues: %d ops", snap.QueueOps)
+	if snap.Counter("dask/queue_ops") != 0 {
+		t.Fatalf("external mode used queues: %d ops", snap.Counter("dask/queue_ops"))
 	}
-	if snap.Heartbeats != 0 {
-		t.Fatalf("infinite heartbeat sent %d messages", snap.Heartbeats)
+	if snap.Counter("dask/heartbeats") != 0 {
+		t.Fatalf("infinite heartbeat sent %d messages", snap.Counter("dask/heartbeats"))
 	}
 }
 
@@ -372,17 +372,17 @@ func TestEndToEndDeisa1Workflow(t *testing.T) {
 	if sum != 16 {
 		t.Fatalf("deisa1 sum = %v, want 16", sum)
 	}
-	snap := cluster.Counters().Snapshot()
+	snap := cluster.Metrics().Snapshot()
 	// 2 ranks × 2 steps: one queue Put per publish and one Get per
 	// consume -> 2·T·R queue operations (§2.1's metadata pattern).
-	if snap.QueueOps != 8 {
-		t.Fatalf("queue ops = %d, want 8 (= 2·T·R)", snap.QueueOps)
+	if snap.Counter("dask/queue_ops") != 8 {
+		t.Fatalf("queue ops = %d, want 8 (= 2·T·R)", snap.Counter("dask/queue_ops"))
 	}
-	if snap.ExternalCreated != 0 {
+	if snap.Counter("dask/external_created") != 0 {
 		t.Fatal("deisa1 created external tasks")
 	}
-	if snap.GraphsSubmitted != 2 {
-		t.Fatalf("deisa1 submitted %d graphs, want one per step", snap.GraphsSubmitted)
+	if snap.Counter("dask/graphs_submitted") != 2 {
+		t.Fatalf("deisa1 submitted %d graphs, want one per step", snap.Counter("dask/graphs_submitted"))
 	}
 }
 
@@ -392,19 +392,19 @@ func TestMetadataMessageFormulas(t *testing.T) {
 	// one contract get per rank) plus the one-off contract set and
 	// external-task creation.
 	_, c1, _ := runWorkflow(t, ModeDEISA1, nil)
-	snap1 := c1.Counters().Snapshot()
+	snap1 := c1.Metrics().Snapshot()
 	T, R := int64(2), int64(2)
-	if got := snap1.QueueOps; got != 2*T*R {
+	if got := snap1.Counter("dask/queue_ops"); got != 2*T*R {
 		t.Fatalf("DEISA1 coordination msgs = %d, want %d", got, 2*T*R)
 	}
 	_, c3, _ := runWorkflow(t, ModeExternal, nil)
-	snap3 := c3.Counters().Snapshot()
+	snap3 := c3.Metrics().Snapshot()
 	// Variable ops: 1 arrays Set + 1 arrays Get + 1 contract Set + R
 	// contract Gets = 3 + R, independent of T.
-	if got := snap3.VariableOps; got != 3+R {
+	if got := snap3.Counter("dask/variable_ops"); got != 3+R {
 		t.Fatalf("external coordination msgs = %d, want %d", got, 3+R)
 	}
-	if snap3.QueueOps != 0 {
+	if snap3.Counter("dask/queue_ops") != 0 {
 		t.Fatal("external mode used queues")
 	}
 }

@@ -37,9 +37,9 @@ import (
 //     spilled, and the resident ledger respects the limit seen by the
 //     last governance pass — except for oversize grants, where at most
 //     one evictable block remains resident (everything else is pinned).
-//  9. Tenant isolation (multi-tenant clusters): no dependency edge
-//     crosses a tenant namespace, and each tenant's resident-byte
-//     ledger equals the recomputed byte sum of its tasks in memory.
+//  9. Tenant isolation: no dependency edge crosses a tenant namespace,
+//     and each tenant's resident-byte ledger (the default tenant's
+//     included) equals the recomputed byte sum of its tasks in memory.
 //
 // A violation fails loudly: the auditor panics with the violation and the
 // tail of the full transition log, so the interleaving that produced the
@@ -203,17 +203,18 @@ func (s *scheduler) setStateLocked(st *schedTask, to State) {
 	st.state = to
 	s.recordLocked(st, from)
 	s.noteTransLocked(from, to)
-	if len(s.tenants) > 0 && from != to {
-		// Per-tenant resident-byte ledger: a task entering memory adds
-		// its bytes, leaving memory (replan, erred cascade) removes the
-		// bytes it held.
-		if from == StateMemory {
-			s.tenants[s.tenantOf[st.id]].resBytes -= st.bytes
-			s.tenantsDirty = true
-		} else if to == StateMemory {
-			s.tenants[s.tenantOf[st.id]].resBytes += st.bytes
-			s.tenantsDirty = true
-		}
+	// Per-tenant resident-byte ledger: a task entering memory adds its
+	// bytes, leaving memory (replan, erred cascade) removes the bytes it
+	// held.
+	if from == to {
+		return
+	}
+	if from == StateMemory {
+		s.tenants[st.tenant].resBytes -= st.bytes
+		s.tenantsDirty = true
+	} else if to == StateMemory {
+		s.tenants[st.tenant].resBytes += st.bytes
+		s.tenantsDirty = true
 	}
 }
 
@@ -253,6 +254,9 @@ func (s *scheduler) auditLocked() {
 	if s.audit == nil {
 		return
 	}
+	for _, t := range s.tenants {
+		t.auditBytes = 0
+	}
 	for id, st := range s.tasks {
 		if st == nil {
 			// Interned but currently unregistered slot. If the key left
@@ -285,6 +289,7 @@ func (s *scheduler) auditLocked() {
 			if st.bytes < 0 {
 				s.failLocked("task %q in memory with negative size %d", st.key, st.bytes)
 			}
+			s.tenants[st.tenant].auditBytes += st.bytes
 		case StateWaiting:
 			var want int32
 			for _, d := range st.deps {
@@ -336,10 +341,22 @@ func (s *scheduler) auditLocked() {
 			if !found {
 				s.failLocked("task %q lists dependent %q, which does not depend on it", st.key, dt.key)
 			}
+			// Every edge between registered tasks appears here (wiring is
+			// bidirectional), so this also covers the tenant-isolation
+			// half of invariant 9.
+			if dt.tenant != st.tenant {
+				s.failLocked("task %q (tenant %q) depends on %q (tenant %q): edge crosses tenant namespaces",
+					dt.key, tenantLabel(s.tenants[dt.tenant].name), st.key, tenantLabel(s.tenants[st.tenant].name))
+			}
+		}
+	}
+	for _, t := range s.tenants {
+		if t.resBytes != t.auditBytes {
+			s.failLocked("tenant %q resident ledger %d != in-memory byte sum %d",
+				tenantLabel(t.name), t.resBytes, t.auditBytes)
 		}
 	}
 	s.auditMemoryLocked()
-	s.auditTenantsLocked()
 }
 
 // auditMemoryLocked checks invariant 8 (memory conservation) on every

@@ -252,7 +252,7 @@ func (cl *Client) Gather(futs []*Future) ([]any, error) {
 	if err := cl.Wait(futs); err != nil {
 		return nil, err
 	}
-	cl.cluster.counters.GatherRequests.Add(1)
+	cl.cluster.sched.gatherC.Inc()
 	out := make([]any, len(futs))
 	depart := cl.clock.Now()
 	var last vtime.Time = depart

@@ -15,10 +15,9 @@ import (
 // fabric they communicate over. Clients are created per producer/consumer
 // process with NewClient.
 type Cluster struct {
-	cfg      Config
-	fabric   *netsim.Fabric
-	reg      *metrics.Registry
-	counters Counters
+	cfg    Config
+	fabric *netsim.Fabric
+	reg    *metrics.Registry
 
 	schedNode netsim.NodeID
 	sched     *scheduler
@@ -40,7 +39,6 @@ func NewCluster(fabric *netsim.Fabric, cfg Config, schedNode netsim.NodeID, work
 	if c.reg == nil {
 		c.reg = metrics.NewRegistry()
 	}
-	c.counters = newCounters(c.reg)
 	c.spill = cfg.SpillFS
 	if c.spill == nil {
 		// Private spill tier so governance works out of the box. It is
@@ -101,16 +99,21 @@ func (c *Cluster) WorkerStatsAll() []WorkerStats {
 // time — the overload signal behind the paper's DEISA1 analysis.
 func (c *Cluster) SchedulerBusy() float64 { return c.sched.cpu.Busy() }
 
-// Counters exposes the scheduler's message counters.
-func (c *Cluster) Counters() *Counters { return &c.counters }
-
 // Metrics returns the cluster's metrics registry (never nil).
 func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
 
-// RecordUtilization samples end-of-run occupancy gauges at virtual time
+// RecordUtilization closes the run's gauges: it forces the throttled
+// fairness gauges (tenant share and resident bytes, Jain index) to
+// their final values, then samples end-of-run occupancy at virtual time
 // at: scheduler CPU busy fraction and per-worker CPU busy fraction.
 // Call once after the workload has drained, with at >= the last event.
 func (c *Cluster) RecordUtilization(at vtime.Time) {
+	s := c.sched
+	s.mu.Lock()
+	if s.jainG != nil {
+		s.flushTenantGaugesLocked()
+	}
+	s.mu.Unlock()
 	if at <= 0 {
 		return
 	}

@@ -46,8 +46,8 @@ type Config struct {
 	MetadataEntryCost vtime.Dur
 	// Metrics, when set, is the registry the cluster instruments itself
 	// against (per-kind message counters, task-state transitions, worker
-	// memory gauges). When nil, NewCluster creates a private registry so
-	// the Counters façade keeps working.
+	// memory gauges, the dask/* message totals). When nil, NewCluster
+	// creates a private registry, so Cluster.Metrics is never nil.
 	Metrics *metrics.Registry
 	// SpillThresholdBytes is the per-worker memory level above which
 	// stored blocks count as spill-eligible in the worker gauges (the
@@ -102,80 +102,5 @@ func DefaultConfig() Config {
 		WorkerTaskOverhead:     100e-6,
 		SerializationBandwidth: 2e9,
 		MetadataEntryCost:      2e-4,
-	}
-}
-
-// Counters tallies scheduler-side message and transition counts. The
-// paper's metadata argument (§2.1: 2·T·R+heartbeats messages for DEISA1
-// versus 1+R for the external-task design) is verified against these.
-//
-// Since the metrics registry landed, Counters is a façade: each field is
-// a handle on the cluster's registry (component "dask"), so the legacy
-// `counters.X.Add(1)` / `.Load()` call sites keep compiling while every
-// count also appears in metric snapshots.
-type Counters struct {
-	GraphsSubmitted   *metrics.Counter
-	TasksRegistered   *metrics.Counter
-	ExternalCreated   *metrics.Counter
-	UpdateDataMsgs    *metrics.Counter
-	MetadataMsgs      *metrics.Counter
-	MetadataEntries   *metrics.Counter
-	TaskFinishedMsgs  *metrics.Counter
-	Heartbeats        *metrics.Counter
-	VariableOps       *metrics.Counter
-	QueueOps          *metrics.Counter
-	GatherRequests    *metrics.Counter
-	TotalSchedulerMsg *metrics.Counter
-}
-
-// newCounters binds the façade to registry counters.
-func newCounters(r *metrics.Registry) Counters {
-	return Counters{
-		GraphsSubmitted:   r.Counter("dask", "graphs_submitted"),
-		TasksRegistered:   r.Counter("dask", "tasks_registered"),
-		ExternalCreated:   r.Counter("dask", "external_created"),
-		UpdateDataMsgs:    r.Counter("dask", "update_data_msgs"),
-		MetadataMsgs:      r.Counter("dask", "metadata_msgs"),
-		MetadataEntries:   r.Counter("dask", "metadata_entries"),
-		TaskFinishedMsgs:  r.Counter("dask", "task_finished_msgs"),
-		Heartbeats:        r.Counter("dask", "heartbeats"),
-		VariableOps:       r.Counter("dask", "variable_ops"),
-		QueueOps:          r.Counter("dask", "queue_ops"),
-		GatherRequests:    r.Counter("dask", "gather_requests"),
-		TotalSchedulerMsg: r.Counter("dask", "total_scheduler_msgs"),
-	}
-}
-
-// Snapshot is a plain-value copy of Counters.
-type Snapshot struct {
-	GraphsSubmitted   int64
-	TasksRegistered   int64
-	ExternalCreated   int64
-	UpdateDataMsgs    int64
-	MetadataMsgs      int64
-	MetadataEntries   int64
-	TaskFinishedMsgs  int64
-	Heartbeats        int64
-	VariableOps       int64
-	QueueOps          int64
-	GatherRequests    int64
-	TotalSchedulerMsg int64
-}
-
-// Snapshot returns a point-in-time copy of all counters.
-func (c *Counters) Snapshot() Snapshot {
-	return Snapshot{
-		GraphsSubmitted:   c.GraphsSubmitted.Load(),
-		TasksRegistered:   c.TasksRegistered.Load(),
-		ExternalCreated:   c.ExternalCreated.Load(),
-		UpdateDataMsgs:    c.UpdateDataMsgs.Load(),
-		MetadataMsgs:      c.MetadataMsgs.Load(),
-		MetadataEntries:   c.MetadataEntries.Load(),
-		TaskFinishedMsgs:  c.TaskFinishedMsgs.Load(),
-		Heartbeats:        c.Heartbeats.Load(),
-		VariableOps:       c.VariableOps.Load(),
-		QueueOps:          c.QueueOps.Load(),
-		GatherRequests:    c.GatherRequests.Load(),
-		TotalSchedulerMsg: c.TotalSchedulerMsg.Load(),
 	}
 }

@@ -380,7 +380,7 @@ func TestHeartbeatTick(t *testing.T) {
 	if n := b.HeartbeatTick(); n != 0 {
 		t.Fatalf("tick after 14 s sent %d, want 0", n)
 	}
-	if got := c.Counters().Heartbeats.Load(); got != 2 {
+	if got := c.Metrics().Counter("dask", "heartbeats").Load(); got != 2 {
 		t.Fatalf("heartbeat counter = %d", got)
 	}
 	// Infinite interval sends nothing.
@@ -398,17 +398,27 @@ func TestCountersTally(t *testing.T) {
 	futs, _ := cl.Submit(g, []taskgraph.Key{"a"})
 	cl.Gather(futs)
 	cl.Scatter([]ScatterItem{{Key: "s", Value: 1.0}}, false, 0)
-	snap := c.Counters().Snapshot()
-	if snap.GraphsSubmitted != 1 || snap.TasksRegistered != 1 {
-		t.Fatalf("submit counters: %+v", snap)
+	if _, err := cl.ExternalFutures([]taskgraph.Key{"e1", "e2"}); err != nil {
+		t.Fatal(err)
 	}
-	if snap.UpdateDataMsgs != 1 {
-		t.Fatalf("update-data counter = %d", snap.UpdateDataMsgs)
+	cl.SendMetadata(5)
+	cl.Variable("v").Set(1.0)
+	cl.Variable("v").Get()
+	cl.Queue("q").Put(1.0)
+	cl.Queue("q").Get()
+	snap := c.Metrics().Snapshot()
+	for id, want := range map[string]int64{
+		"dask/graphs_submitted": 1, "dask/tasks_registered": 1,
+		"dask/update_data_msgs": 1, "dask/task_finished_msgs": 1,
+		"dask/gather_requests": 1, "dask/external_created": 2,
+		"dask/metadata_msgs": 1, "dask/metadata_entries": 5,
+		"dask/variable_ops": 2, "dask/queue_ops": 2, "dask/heartbeats": 0,
+	} {
+		if got := snap.Counter(id); got != want {
+			t.Errorf("%s = %d, want %d", id, got, want)
+		}
 	}
-	if snap.TaskFinishedMsgs != 1 {
-		t.Fatalf("task-finished counter = %d", snap.TaskFinishedMsgs)
-	}
-	if snap.TotalSchedulerMsg == 0 {
+	if snap.Counter("dask/total_scheduler_msgs") == 0 {
 		t.Fatal("total messages not counted")
 	}
 }

@@ -58,6 +58,7 @@ type taskID int32
 
 type schedTask struct {
 	id       taskID
+	tenant   int32         // index into scheduler.tenants, fixed at registration
 	key      taskgraph.Key // original key, for traces/errors/labels
 	fn       taskgraph.Fn
 	timed    taskgraph.TimedFn
@@ -192,12 +193,9 @@ type scheduler struct {
 	// Interned key tables. ids and keys are append-only for the cluster
 	// lifetime; tasks is indexed by taskID and nil for released (or
 	// interned-but-never-registered) slots.
-	ids   map[taskgraph.Key]taskID
-	keys  []taskgraph.Key
-	tasks []*schedTask
-	// ready queues runnable tasks between a transition and assignment;
-	// it is always drained before the owning operation returns.
-	ready  readyQueue
+	ids    map[taskgraph.Key]taskID
+	keys   []taskgraph.Key
+	tasks  []*schedTask
 	vars   map[string]*varEntry
 	queues map[string]*queueEntry
 	rr     int
@@ -228,6 +226,11 @@ type scheduler struct {
 	msgC   map[string]*metrics.Counter
 	transC [StateExternal + 2][StateExternal + 2]*metrics.Counter
 	stateG [StateExternal + 1]*metrics.Gauge
+	// The dask/* totals behind the paper's message-count argument (§2.1:
+	// 2·T·R+heartbeats messages for DEISA1 versus 1+R with external
+	// tasks); read them from the registry as "dask/<name>".
+	graphsC, tasksRegC, externalC, updateDataC, metadataC, metadataEntriesC,
+	taskFinishedC, heartbeatsC, variableOpsC, queueOpsC, gatherC, totalMsgC *metrics.Counter
 
 	// Locality scratch for assignLocked: per-worker byte tallies reused
 	// across calls via an epoch stamp, replacing a per-call map.
@@ -241,14 +244,11 @@ type scheduler struct {
 	readyTied   tied
 	assignCands []int
 
-	// Multi-tenant fair-share state (see tenant.go). Empty on every
-	// single-job cluster: each tenant-aware branch is gated on
-	// len(tenants) > 0, so the untenanted hot path is unchanged.
+	// Fair-share state (see tenant.go). tenants[0] is the catch-all
+	// default tenant every cluster starts with; RegisterTenant appends
+	// the named ones.
 	tenants   []*tenantState
-	tenantIdx map[string]int // tenant name -> tenants index
-	// tenantOf tags each interned taskID with its tenant index; it is
-	// appended in lockstep with keys once tenants exist.
-	tenantOf []int32
+	tenantIdx map[string]int // named tenant -> tenants index; nil until one registers
 	// readyN is the queued-entry total across all per-tenant heaps.
 	readyN int
 	// virtualTime is the system virtual service (the vs of the last
@@ -257,12 +257,12 @@ type scheduler struct {
 	totalPops   int64
 	// tenantsDirty marks tenant gauges for the endOpLocked batch flush;
 	// tenantFlushSkip throttles that flush to every tenantFlushStride-th
-	// dirty operation.
+	// dirty operation. jainG stays nil, and the flush off, until the
+	// first named tenant binds the fairness instruments.
 	tenantsDirty    bool
 	tenantFlushSkip int
 	jainG           *metrics.Gauge
 	tenantCands     []*tenantState
-	auditTenantB    []int64
 }
 
 // msgKinds enumerates every scheduler message kind, so the per-kind
@@ -286,6 +286,12 @@ func newScheduler(cl *Cluster) *scheduler {
 	for _, kind := range msgKinds {
 		s.msgC[kind] = cl.reg.Counter("scheduler", "messages", metrics.L("kind", kind))
 	}
+	dc := func(name string) *metrics.Counter { return cl.reg.Counter("dask", name) }
+	s.graphsC, s.tasksRegC, s.externalC = dc("graphs_submitted"), dc("tasks_registered"), dc("external_created")
+	s.updateDataC, s.metadataC, s.metadataEntriesC = dc("update_data_msgs"), dc("metadata_msgs"), dc("metadata_entries")
+	s.taskFinishedC, s.heartbeatsC, s.variableOpsC = dc("task_finished_msgs"), dc("heartbeats"), dc("variable_ops")
+	s.queueOpsC, s.gatherC, s.totalMsgC = dc("queue_ops"), dc("gather_requests"), dc("total_scheduler_msgs")
+	s.tenants = []*tenantState{{weight: 1}}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -300,9 +306,6 @@ func (s *scheduler) internLocked(k taskgraph.Key) taskID {
 	s.ids[k] = id
 	s.keys = append(s.keys, k)
 	s.tasks = append(s.tasks, nil)
-	if len(s.tenants) > 0 {
-		s.tenantOf = append(s.tenantOf, s.tenantTagLocked(k))
-	}
 	return id
 }
 
@@ -327,7 +330,7 @@ func (s *scheduler) lookupLocked(k taskgraph.Key) *schedTask {
 // given kind arriving at the given time, plus extra per-item work, and
 // returns the handling completion time.
 func (s *scheduler) handle(kind string, arrival vtime.Time, extra vtime.Dur) vtime.Time {
-	s.cl.counters.TotalSchedulerMsg.Add(1)
+	s.totalMsgC.Inc()
 	if c, ok := s.msgC[kind]; ok {
 		c.Inc()
 	} else {
@@ -396,16 +399,14 @@ func (s *scheduler) endOpLocked() {
 		}
 		s.dirtyStates = 0
 	}
-	if s.tenantsDirty {
+	if s.tenantsDirty && s.jainG != nil {
 		// Throttled: the fairness gauges are derived (share, bytes,
 		// Jain) and change a little on every pop, so flushing each
 		// operation would put 5 gauge appends on every scheduler op and
-		// bloat the snapshot series. Stats reads and the harness flush
-		// the final values explicitly.
+		// bloat the snapshot series. RecordUtilization flushes the
+		// final values.
 		if s.tenantFlushSkip++; s.tenantFlushSkip >= tenantFlushStride {
 			s.flushTenantGaugesLocked()
-			s.tenantsDirty = false
-			s.tenantFlushSkip = 0
 		}
 	}
 	s.auditLocked()
@@ -416,7 +417,7 @@ func (s *scheduler) endOpLocked() {
 // scheduler (scattered data or external tasks). Returns the handling
 // completion time.
 func (s *scheduler) submitGraph(g *taskgraph.Graph, arrival vtime.Time) (vtime.Time, error) {
-	s.cl.counters.GraphsSubmitted.Add(1)
+	s.graphsC.Inc()
 	handled := s.handle("submit", arrival, s.cl.cfg.SchedulerTaskCost*vtime.Dur(g.Len()))
 
 	s.mu.Lock()
@@ -439,21 +440,20 @@ func (s *scheduler) submitGraph(g *taskgraph.Graph, arrival vtime.Time) (vtime.T
 			return false
 		}
 		totalDeps += len(t.Deps)
-		var ttag int32
-		if len(s.tenants) > 0 {
-			ttag = s.tenantTagLocked(k)
-		}
+		ttag := s.tenantTagLocked(k)
 		for _, d := range t.Deps {
-			if len(s.tenants) > 0 && s.tenantTagLocked(d) != ttag {
-				verr = fmt.Errorf("dask: task %q (tenant %q) depends on %q: dependency edges may not cross tenant namespaces",
-					k, tenantLabel(s.tenants[ttag].name), d)
+			var dtag int32
+			if g.Has(d) {
+				dtag = s.tenantTagLocked(d)
+			} else if dt := s.lookupLocked(d); dt != nil {
+				dtag = dt.tenant
+			} else {
+				verr = fmt.Errorf("dask: task %q depends on unknown key %q", k, d)
 				return false
 			}
-			if g.Has(d) {
-				continue
-			}
-			if s.lookupLocked(d) == nil {
-				verr = fmt.Errorf("dask: task %q depends on unknown key %q", k, d)
+			if dtag != ttag {
+				verr = fmt.Errorf("dask: task %q (tenant %q) depends on %q: dependency edges may not cross tenant namespaces",
+					k, tenantLabel(s.tenants[ttag].name), d)
 				return false
 			}
 		}
@@ -483,6 +483,7 @@ func (s *scheduler) submitGraph(g *taskgraph.Graph, arrival vtime.Time) (vtime.T
 		}
 		slab[i] = schedTask{
 			id:       id,
+			tenant:   s.tenantTagLocked(k),
 			key:      k,
 			fn:       gt.Fn,
 			timed:    gt.Timed,
@@ -498,7 +499,7 @@ func (s *scheduler) submitGraph(g *taskgraph.Graph, arrival vtime.Time) (vtime.T
 		s.recordLocked(st, stateNone)
 		s.noteTransLocked(stateNone, st.state)
 	}
-	s.cl.counters.TasksRegistered.Add(int64(len(keys)))
+	s.tasksRegC.Add(int64(len(keys)))
 	// Carve dependent-edge windows: count each new task's in-batch
 	// degree, then hand it a zero-length window of one shared block.
 	// Edges into previously-registered tasks append to their existing
@@ -563,6 +564,7 @@ func (s *scheduler) createExternal(keys []taskgraph.Key, arrival vtime.Time) (vt
 		id := s.internLocked(k)
 		slab[i] = schedTask{
 			id:          id,
+			tenant:      s.tenantTagLocked(k),
 			key:         k,
 			state:       StateExternal,
 			worker:      -1,
@@ -574,7 +576,7 @@ func (s *scheduler) createExternal(keys []taskgraph.Key, arrival vtime.Time) (vt
 		s.recordLocked(st, stateNone)
 		s.noteTransLocked(stateNone, st.state)
 	}
-	s.cl.counters.ExternalCreated.Add(int64(len(keys)))
+	s.externalC.Add(int64(len(keys)))
 	return handled, nil
 }
 
@@ -595,7 +597,7 @@ type dataItem struct {
 // unblocking dependents). In the default mode (plain Dask scatter), a new
 // task is created directly in memory.
 func (s *scheduler) updateData(items []dataItem, external bool, arrival vtime.Time) (vtime.Time, error) {
-	s.cl.counters.UpdateDataMsgs.Add(1)
+	s.updateDataC.Inc()
 	handled := s.handle("update-data", arrival, s.cl.cfg.SchedulerTaskCost*vtime.Dur(len(items)))
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -627,6 +629,7 @@ func (s *scheduler) updateData(items []dataItem, external bool, arrival vtime.Ti
 			}
 			st = &schedTask{
 				id:     it.id,
+				tenant: s.tenantTagLocked(it.key),
 				key:    it.key,
 				worker: -1,
 				wired:  true,
@@ -648,7 +651,7 @@ func (s *scheduler) updateData(items []dataItem, external bool, arrival vtime.Ti
 // taskFinished is the worker's completion report; it triggers the
 // transition cascade for dependents.
 func (s *scheduler) taskFinished(id taskID, workerID int, finishedAt vtime.Time, bytes int64, arrival vtime.Time) {
-	s.cl.counters.TaskFinishedMsgs.Add(1)
+	s.taskFinishedC.Inc()
 	handled := s.handle("task-finished", arrival, s.cl.cfg.SchedulerTaskCost)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -724,7 +727,7 @@ func (s *scheduler) onMemoryLocked(st *schedTask) {
 // taskID) order. Entries whose task changed state since queuing (erred
 // cascade, release) are skipped.
 func (s *scheduler) drainReadyLocked(departAt vtime.Time) {
-	for s.readyLenLocked() > 0 {
+	for s.readyN > 0 {
 		id := s.popReadyLocked()
 		st := s.tasks[id]
 		if st == nil || st.state != StateWaiting || st.missingCount != 0 ||
@@ -735,15 +738,10 @@ func (s *scheduler) drainReadyLocked(departAt vtime.Time) {
 	}
 }
 
-// popReadyLocked removes the next runnable task. On untenanted
-// clusters this pops the global ready heap; with tenants registered,
-// the fair-share layer first picks the tenant to serve (smallest
-// virtual service) and then pops that tenant's heap, advancing its
-// virtual service by 1/weight.
+// popReadyLocked removes the next runnable task: the fair-share layer
+// picks the tenant to serve (smallest virtual service), pops that
+// tenant's heap, and advances its virtual service by 1/weight.
 func (s *scheduler) popReadyLocked() taskID {
-	if len(s.tenants) == 0 {
-		return s.popQueueLocked(&s.ready)
-	}
 	t := s.pickTenantLocked()
 	id := s.popQueueLocked(&t.ready)
 	s.readyN--
@@ -899,9 +897,7 @@ func (s *scheduler) assignLocked(st *schedTask, departAt vtime.Time) {
 	}
 	st.worker = best
 	s.setStateLocked(st, StateProcessing)
-	if len(s.tenants) > 0 {
-		s.tenants[s.tenantOf[st.id]].assignedC.Inc()
-	}
+	s.tenants[st.tenant].assignedC.Inc()
 
 	// Build dependency locations for the worker-side fetch.
 	locs := make([]depLoc, 0, len(st.deps))
@@ -1002,8 +998,8 @@ func (s *scheduler) idFor(key taskgraph.Key) (taskID, bool) {
 // metadata accounts one bulk metadata message with the given number of
 // entries (each entry costs MetadataEntryCost of scheduler CPU).
 func (s *scheduler) metadata(entries int, arrival vtime.Time) vtime.Time {
-	s.cl.counters.MetadataMsgs.Add(1)
-	s.cl.counters.MetadataEntries.Add(int64(entries))
+	s.metadataC.Inc()
+	s.metadataEntriesC.Add(int64(entries))
 	return s.handle("metadata", arrival, s.cl.cfg.MetadataEntryCost*vtime.Dur(entries))
 }
 
@@ -1037,8 +1033,8 @@ func (s *scheduler) release(keys []taskgraph.Key, arrival vtime.Time) (vtime.Tim
 		if st.state == StateMemory && st.worker >= 0 {
 			s.cl.workers[st.worker].drop(st.id, handled)
 		}
-		if len(s.tenants) > 0 && st.state == StateMemory {
-			s.tenants[s.tenantOf[st.id]].resBytes -= st.bytes
+		if st.state == StateMemory {
+			s.tenants[st.tenant].resBytes -= st.bytes
 			s.tenantsDirty = true
 		}
 		for _, d := range st.deps {
@@ -1064,7 +1060,7 @@ func (s *scheduler) release(keys []taskgraph.Key, arrival vtime.Time) (vtime.Tim
 func (s *scheduler) heartbeat(n int, arrival vtime.Time) vtime.Time {
 	var end vtime.Time = arrival
 	for i := 0; i < n; i++ {
-		s.cl.counters.Heartbeats.Add(1)
+		s.heartbeatsC.Inc()
 		end = s.handle("heartbeat", arrival, 0)
 	}
 	return end
@@ -1072,7 +1068,7 @@ func (s *scheduler) heartbeat(n int, arrival vtime.Time) vtime.Time {
 
 // varSet stores a distributed Variable value.
 func (s *scheduler) varSet(name string, value any, arrival vtime.Time) vtime.Time {
-	s.cl.counters.VariableOps.Add(1)
+	s.variableOpsC.Inc()
 	s.cl.reg.Counter("scheduler", "variable_ops",
 		metrics.L("name", name), metrics.L("op", "set")).Inc()
 	handled := s.handle("var-set", arrival, 0)
@@ -1086,7 +1082,7 @@ func (s *scheduler) varSet(name string, value any, arrival vtime.Time) vtime.Tim
 // varGet blocks until the Variable is set and returns its value and the
 // virtual time at which the response can leave the scheduler.
 func (s *scheduler) varGet(name string, arrival vtime.Time) (any, vtime.Time) {
-	s.cl.counters.VariableOps.Add(1)
+	s.variableOpsC.Inc()
 	s.cl.reg.Counter("scheduler", "variable_ops",
 		metrics.L("name", name), metrics.L("op", "get")).Inc()
 	handled := s.handle("var-get", arrival, 0)
@@ -1106,7 +1102,7 @@ func (s *scheduler) varGet(name string, arrival vtime.Time) (any, vtime.Time) {
 
 // queuePut appends a value to a distributed Queue.
 func (s *scheduler) queuePut(name string, value any, arrival vtime.Time) vtime.Time {
-	s.cl.counters.QueueOps.Add(1)
+	s.queueOpsC.Inc()
 	s.cl.reg.Counter("scheduler", "queue_ops",
 		metrics.L("name", name), metrics.L("op", "put")).Inc()
 	handled := s.handle("queue-put", arrival, 0)
@@ -1124,7 +1120,7 @@ func (s *scheduler) queuePut(name string, value any, arrival vtime.Time) vtime.T
 
 // queueGet blocks until the Queue is non-empty and pops its head.
 func (s *scheduler) queueGet(name string, arrival vtime.Time) (any, vtime.Time) {
-	s.cl.counters.QueueOps.Add(1)
+	s.queueOpsC.Inc()
 	s.cl.reg.Counter("scheduler", "queue_ops",
 		metrics.L("name", name), metrics.L("op", "get")).Inc()
 	handled := s.handle("queue-get", arrival, 0)

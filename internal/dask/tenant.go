@@ -9,18 +9,19 @@ import (
 	"deisago/internal/taskgraph"
 )
 
-// Multi-tenant fair-share layer. A cluster shared by several client
-// pipelines registers one tenant per pipeline; every key whose prefix
-// (the segment before the first '/') names a registered tenant belongs
-// to that tenant, everything else to the catch-all default tenant. The
-// ready queue splits into one heap per tenant and pops interleave
-// tenants by virtual service deficit (start-time fair queueing): a
-// tenant's virtual service advances by 1/weight per served task, the
-// scheduler always serves the backlogged tenant with the smallest
-// virtual service, and a tenant going idle is caught up on activation
-// so sleeping never banks credit. With no tenants registered — every
-// single-job cluster — all of this is dormant and the scheduler
-// behaves byte-identically to the untenanted build.
+// Fair-share layer. Every cluster starts with the catch-all default
+// tenant, which owns every key; a cluster shared by several client
+// pipelines registers one named tenant per pipeline, and every key
+// whose prefix (the segment before the first '/') names a registered
+// tenant belongs to that tenant instead. The ready queue is one heap
+// per tenant and pops interleave tenants by virtual service deficit
+// (start-time fair queueing): a tenant's virtual service advances by
+// 1/weight per served task, the scheduler always serves the backlogged
+// tenant with the smallest virtual service, and a tenant going idle is
+// caught up on activation so sleeping never banks credit. A single-job
+// cluster is the one-tenant case: its pops all go to the default heap,
+// and the default tenant's instruments stay unbound (nil, so no-ops)
+// until a named tenant registers.
 
 // tenantState is one tenant's scheduler-side record. All fields are
 // guarded by the owning scheduler's mutex.
@@ -32,17 +33,28 @@ type tenantState struct {
 	// per popped task, and pop order always serves the smallest vs among
 	// backlogged tenants.
 	vs float64
-	// ready is the tenant's private runnable heap, same ordering as the
-	// global one.
+	// ready is the tenant's private runnable heap.
 	ready readyQueue
 
 	pops     int64 // tasks served (ready-queue pops)
 	resBytes int64 // bytes of this tenant's tasks currently in memory
+	// auditBytes is the auditor's recomputed in-memory byte sum,
+	// checked against resBytes (invariant 9).
+	auditBytes int64
 
 	popsC     *metrics.Counter
 	assignedC *metrics.Counter
 	shareG    *metrics.Gauge
 	bytesG    *metrics.Gauge
+}
+
+// bind creates the tenant's instruments.
+func (t *tenantState) bind(reg *metrics.Registry) {
+	lbl := metrics.L("tenant", tenantLabel(t.name))
+	t.popsC = reg.Counter("scheduler", "tenant_pops", lbl)
+	t.assignedC = reg.Counter("worker", "tenant_tasks", lbl)
+	t.shareG = reg.Gauge("scheduler", "tenant_share", lbl)
+	t.bytesG = reg.Gauge("memory", "tenant_bytes", lbl)
 }
 
 // tenantLabel names a tenant for metric labels and error messages (the
@@ -57,13 +69,13 @@ func tenantLabel(name string) string {
 // RegisterTenant declares a tenant with the given fair-share weight.
 // Keys prefixed "<name>/" submitted, scattered, or created after this
 // call are attributed to the tenant; its share of ready-queue service
-// is weight-proportional against the other backlogged tenants. The
-// first registration also creates the catch-all default tenant (weight
-// 1) that owns every unprefixed key. Call before submitting the
-// tenant's work.
+// is weight-proportional against the other backlogged tenants,
+// including the catch-all default tenant (weight 1) that owns every
+// other key. "default" names that tenant and is reserved. Call before
+// submitting the tenant's work.
 func (c *Cluster) RegisterTenant(name string, weight float64) error {
-	if name == "" || strings.ContainsRune(name, '/') {
-		return fmt.Errorf("dask: invalid tenant name %q (non-empty, no '/')", name)
+	if name == "" || name == tenantLabel("") || strings.ContainsRune(name, '/') {
+		return fmt.Errorf("dask: invalid tenant name %q (non-empty, not %q, no '/')", name, tenantLabel(""))
 	}
 	if weight <= 0 {
 		return fmt.Errorf("dask: tenant %q needs a positive weight, got %g", name, weight)
@@ -71,59 +83,28 @@ func (c *Cluster) RegisterTenant(name string, weight float64) error {
 	s := c.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.tenants) == 0 {
-		// First registration: create the default tenant and tag every
-		// key interned so far (none can belong to a named tenant —
-		// names are only now being introduced).
-		s.tenantIdx = map[string]int{}
-		s.tenants = append(s.tenants, s.newTenantLocked("", 1))
-		for range s.keys {
-			s.tenantOf = append(s.tenantOf, 0)
-		}
-		// Blocks already resident belong to the default tenant; seed its
-		// byte ledger so the incremental accounting starts balanced.
-		for _, st := range s.tasks {
-			if st != nil && st.state == StateMemory {
-				s.tenants[0].resBytes += st.bytes
-			}
-		}
-		s.tenantsDirty = true
-		// Migrate anything already queued into the default tenant's
-		// heap (the queue is drained between operations, so this is
-		// normally empty).
-		for len(s.ready) > 0 {
-			it := s.ready[0]
-			s.ready.pop()
-			s.tenants[0].ready.push(it.priority, it.id)
-			s.readyN++
-		}
-	}
 	if _, dup := s.tenantIdx[name]; dup {
 		return fmt.Errorf("dask: tenant %q already registered", name)
 	}
-	s.tenantIdx[name] = len(s.tenants)
-	s.tenants = append(s.tenants, s.newTenantLocked(name, weight))
-	return nil
-}
-
-// newTenantLocked builds a tenant record with its instruments created
-// up front, so metric creation order is a function of registration
-// order, not of which tenant happens to run first.
-func (s *scheduler) newTenantLocked(name string, weight float64) *tenantState {
-	lbl := metrics.L("tenant", tenantLabel(name))
-	return &tenantState{
-		name:      name,
-		weight:    weight,
-		popsC:     s.cl.reg.Counter("scheduler", "tenant_pops", lbl),
-		assignedC: s.cl.reg.Counter("worker", "tenant_tasks", lbl),
-		shareG:    s.cl.reg.Gauge("scheduler", "tenant_share", lbl),
-		bytesG:    s.cl.reg.Gauge("memory", "tenant_bytes", lbl),
+	if s.tenantIdx == nil {
+		// First named tenant: bind the default tenant's instruments
+		// first, so instrument creation follows registration order, and
+		// turn on the fairness gauge flush.
+		s.tenantIdx = map[string]int{}
+		s.tenants[0].bind(s.cl.reg)
+		s.jainG = s.cl.reg.Gauge("scheduler", "fairness_jain")
+		s.tenantsDirty = true
 	}
+	t := &tenantState{name: name, weight: weight}
+	t.bind(s.cl.reg)
+	s.tenants = append(s.tenants, t)
+	s.tenantIdx[name] = len(s.tenantIdx) + 1
+	return nil
 }
 
 // tenantTagLocked returns the tenant index a key belongs to: the
 // segment before the first '/' when it names a registered tenant, else
-// the default tenant 0. Only meaningful with tenants present.
+// the default tenant 0.
 func (s *scheduler) tenantTagLocked(k taskgraph.Key) int32 {
 	if i := strings.IndexByte(string(k), '/'); i > 0 {
 		if idx, ok := s.tenantIdx[string(k[:i])]; ok {
@@ -133,30 +114,23 @@ func (s *scheduler) tenantTagLocked(k taskgraph.Key) int32 {
 	return 0
 }
 
-// pushReadyLocked queues a runnable task. Untenanted clusters use the
-// global ready heap; with tenants registered the task lands on its
-// tenant's heap, and a tenant activating from idle has its virtual
-// service caught up to the system virtual time.
+// pushReadyLocked queues a runnable task on its tenant's heap; a tenant
+// activating from idle has its virtual service caught up to the system
+// virtual time. An ID with no registered task (a synthetic backlog of
+// interned keys) is tagged by its key prefix.
 func (s *scheduler) pushReadyLocked(priority int, id taskID) {
-	if len(s.tenants) == 0 {
-		s.ready.push(priority, id)
-		return
+	var tag int32
+	if st := s.tasks[id]; st != nil {
+		tag = st.tenant
+	} else {
+		tag = s.tenantTagLocked(s.keys[id])
 	}
-	t := s.tenants[s.tenantOf[id]]
+	t := s.tenants[tag]
 	if len(t.ready) == 0 && t.vs < s.virtualTime {
 		t.vs = s.virtualTime
 	}
 	t.ready.push(priority, id)
 	s.readyN++
-}
-
-// readyLenLocked is the number of queued runnable entries across all
-// ready heaps.
-func (s *scheduler) readyLenLocked() int {
-	if len(s.tenants) == 0 {
-		return len(s.ready)
-	}
-	return s.readyN
 }
 
 // pickTenantLocked selects the backlogged tenant with the smallest
@@ -197,88 +171,20 @@ func (s *scheduler) pickTenantLocked() *tenantState {
 // sampled at this stride.
 const tenantFlushStride = 16
 
-// FlushTenantGauges forces the throttled per-tenant fairness gauges
-// (share, resident bytes, Jain index) to their current values. Harness
-// drivers call it right before snapshotting the metrics registry so the
-// final gauge values are exact. No-op without tenants.
-func (c *Cluster) FlushTenantGauges() {
-	s := c.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.tenants) == 0 {
-		return
-	}
-	s.flushTenantGaugesLocked()
-	s.tenantsDirty = false
-	s.tenantFlushSkip = 0
-}
-
 // flushTenantGaugesLocked updates the derived fairness gauges at the
 // current operation's handling time: per-tenant service share and
 // resident bytes, plus Jain's fairness index over weight-normalized
-// service (1.0 = perfectly weight-fair).
+// service (1.0 = perfectly weight-fair), and restarts the throttle.
 func (s *scheduler) flushTenantGaugesLocked() {
-	var sumX, sumX2 float64
-	n := 0
+	s.tenantsDirty = false
+	s.tenantFlushSkip = 0
 	for _, t := range s.tenants {
 		if s.totalPops > 0 {
 			t.shareG.Set(float64(t.pops)/float64(s.totalPops), s.opAt)
 		}
 		t.bytesG.Set(float64(t.resBytes), s.opAt)
-		if t.pops > 0 {
-			x := float64(t.pops) / t.weight
-			sumX += x
-			sumX2 += x * x
-			n++
-		}
 	}
-	if s.jainG == nil {
-		s.jainG = s.cl.reg.Gauge("scheduler", "fairness_jain")
-	}
-	jain := 1.0
-	if n > 0 && sumX2 > 0 {
-		jain = sumX * sumX / (float64(n) * sumX2)
-	}
-	s.jainG.Set(jain, s.opAt)
-}
-
-// auditTenantsLocked checks invariant 9 (tenant isolation): no
-// dependency edge crosses a tenant namespace, and each tenant's
-// resident-byte ledger equals the recomputed byte sum of its tasks in
-// memory.
-func (s *scheduler) auditTenantsLocked() {
-	if len(s.tenants) == 0 {
-		return
-	}
-	if cap(s.auditTenantB) < len(s.tenants) {
-		s.auditTenantB = make([]int64, len(s.tenants))
-	}
-	sums := s.auditTenantB[:len(s.tenants)]
-	for i := range sums {
-		sums[i] = 0
-	}
-	for _, st := range s.tasks {
-		if st == nil {
-			continue
-		}
-		tag := s.tenantOf[st.id]
-		for _, d := range st.deps {
-			if s.tenantOf[d] != tag {
-				s.failLocked("task %q (tenant %q) depends on %q (tenant %q): edge crosses tenant namespaces",
-					st.key, tenantLabel(s.tenants[tag].name),
-					s.keys[d], tenantLabel(s.tenants[s.tenantOf[d]].name))
-			}
-		}
-		if st.state == StateMemory {
-			sums[tag] += st.bytes
-		}
-	}
-	for i, t := range s.tenants {
-		if t.resBytes != sums[i] {
-			s.failLocked("tenant %q resident ledger %d != in-memory byte sum %d",
-				tenantLabel(t.name), t.resBytes, sums[i])
-		}
-	}
+	s.jainG.Set(s.jainLocked(), s.opAt)
 }
 
 // TenantStats is one tenant's service snapshot.
@@ -290,25 +196,25 @@ type TenantStats struct {
 	ResidentBytes int64   // bytes of the tenant's results in memory
 }
 
-// TenantStatsAll snapshots every registered tenant in registration
-// order (the default tenant first). Nil when no tenants are registered.
+// TenantStatsAll snapshots every tenant in registration order (the
+// default tenant first). Nil when no named tenant is registered.
 func (c *Cluster) TenantStatsAll() []TenantStats {
 	s := c.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.tenants) == 0 {
+	if s.tenantIdx == nil {
 		return nil
 	}
-	out := make([]TenantStats, len(s.tenants))
-	for i, t := range s.tenants {
+	out := make([]TenantStats, 0, len(s.tenantIdx)+1)
+	for _, t := range s.tenants {
 		share := 0.0
 		if s.totalPops > 0 {
 			share = float64(t.pops) / float64(s.totalPops)
 		}
-		out[i] = TenantStats{
+		out = append(out, TenantStats{
 			Name: tenantLabel(t.name), Weight: t.weight, Pops: t.pops,
 			Share: share, ResidentBytes: t.resBytes,
-		}
+		})
 	}
 	return out
 }
@@ -317,11 +223,15 @@ func (c *Cluster) TenantStatsAll() []TenantStats {
 // weight-normalized service (pops/weight): 1.0 means every tenant got
 // an exactly weight-proportional share; 1/n means one tenant got
 // everything. Tenants that were never served are excluded. Returns 1
-// when no tenant has been served (or none are registered).
+// when at most one tenant has been served.
 func (c *Cluster) JainFairness() float64 {
 	s := c.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.jainLocked()
+}
+
+func (s *scheduler) jainLocked() float64 {
 	var sumX, sumX2 float64
 	n := 0
 	for _, t := range s.tenants {

@@ -20,6 +20,7 @@ func TestRegisterTenantValidation(t *testing.T) {
 		weight float64
 	}{
 		{"", 1}, {"a/b", 1}, {"ok", 0}, {"ok", -3},
+		{"default", 1}, // reserved: names the catch-all tenant
 	} {
 		if err := c.RegisterTenant(bad.name, bad.weight); err == nil {
 			t.Errorf("RegisterTenant(%q, %g) accepted", bad.name, bad.weight)
@@ -53,6 +54,26 @@ func TestTenantStatsNilWithoutTenants(t *testing.T) {
 	}
 	if j := c.JainFairness(); j != 1 {
 		t.Fatalf("untenanted Jain = %g, want 1", j)
+	}
+	// The default tenant's instruments stay unbound without a named
+	// tenant, through the end-of-run flush too: no series, gauges
+	// included.
+	c.RecordUtilization(cl.Now())
+	snap := c.Metrics().Snapshot()
+	var ids []string
+	for _, m := range snap.Counters {
+		ids = append(ids, m.ID)
+	}
+	for _, m := range snap.Gauges {
+		ids = append(ids, m.ID)
+	}
+	for _, m := range snap.Histograms {
+		ids = append(ids, m.ID)
+	}
+	for _, id := range ids {
+		if strings.Contains(id, "/tenant_") || strings.Contains(id, "fairness_jain") {
+			t.Errorf("untenanted cluster exports %s", id)
+		}
 	}
 }
 
@@ -255,7 +276,7 @@ func TestTenantTieBreakAndGaugeFlush(t *testing.T) {
 	c.EnableAudit()
 	cl := c.NewClient("client", 1, math.Inf(1))
 
-	c.FlushTenantGauges() // no-op before any tenant exists
+	c.RecordUtilization(0) // flushes no tenant gauge before a named tenant exists
 	for _, name := range []string{"a", "b"} {
 		if err := c.RegisterTenant(name, 1); err != nil {
 			t.Fatal(err)
@@ -287,7 +308,7 @@ func TestTenantTieBreakAndGaugeFlush(t *testing.T) {
 	if picks == 0 {
 		t.Fatal("tie-breaker saw no tenant-pick decisions under contention")
 	}
-	c.FlushTenantGauges()
+	c.RecordUtilization(cl.Now())
 	shareA := c.Metrics().Gauge("scheduler", "tenant_share", metrics.L("tenant", "a")).Value()
 	shareB := c.Metrics().Gauge("scheduler", "tenant_share", metrics.L("tenant", "b")).Value()
 	if math.Abs(shareA-0.5) > 0.2 || math.Abs(shareA+shareB-1) > 1e-9 {

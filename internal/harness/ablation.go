@@ -196,7 +196,7 @@ func AblationFuse(o Options) (*Table, error) {
 				return nil, err
 			}
 			as = append(as, res.AnalyticsTime)
-			ts = append(ts, float64(res.Counters.TasksRegistered))
+			ts = append(ts, float64(res.Metrics.Counter("dask/tasks_registered")))
 		}
 		m, s := meanStd(as)
 		analytics.Mean, analytics.Std = append(analytics.Mean, m), append(analytics.Std, s)

@@ -120,8 +120,8 @@ func TestFusedRunMatchesUnfused(t *testing.T) {
 	if !ndarray.AllClose(plain.Components, fused.Components, 1e-12) {
 		t.Fatal("fusion changed the analytics result")
 	}
-	if fused.Counters.TasksRegistered >= plain.Counters.TasksRegistered {
-		t.Fatalf("fusion did not reduce tasks: %d vs %d",
-			fused.Counters.TasksRegistered, plain.Counters.TasksRegistered)
+	f, p := fused.Metrics.Counter("dask/tasks_registered"), plain.Metrics.Counter("dask/tasks_registered")
+	if f >= p {
+		t.Fatalf("fusion did not reduce tasks: %d vs %d", f, p)
 	}
 }

@@ -626,7 +626,7 @@ type MetadataCounts struct {
 }
 
 // ComputeMetadataCounts runs both protocols (concurrently, when the pool
-// allows) and snapshots the counters.
+// allows) and reads their dask/* registry counters.
 func ComputeMetadataCounts(o Options, ranks, workers int) (*MetadataCounts, error) {
 	o.defaults()
 	systems := [2]System{DEISA1, DEISA3}
@@ -646,15 +646,15 @@ func ComputeMetadataCounts(o Options, ranks, workers int) (*MetadataCounts, erro
 	if err != nil {
 		return nil, err
 	}
-	r1, r3 := results[0], results[1]
+	m1, m3 := results[0].Metrics, results[1].Metrics
 	return &MetadataCounts{
 		Timesteps:        o.Timesteps,
 		Ranks:            ranks,
-		DEISA1Queue:      r1.Counters.QueueOps,
-		DEISA1Meta:       r1.Counters.MetadataMsgs,
-		DEISA1Heartbeats: r1.Counters.Heartbeats,
-		DEISA3Variable:   r3.Counters.VariableOps,
-		DEISA3External:   r3.Counters.ExternalCreated,
+		DEISA1Queue:      m1.Counter("dask/queue_ops"),
+		DEISA1Meta:       m1.Counter("dask/metadata_msgs"),
+		DEISA1Heartbeats: m1.Counter("dask/heartbeats"),
+		DEISA3Variable:   m3.Counter("dask/variable_ops"),
+		DEISA3External:   m3.Counter("dask/external_created"),
 	}, nil
 }
 

@@ -83,21 +83,19 @@ func TestFormulaMatrix(t *testing.T) {
 				} else if beats == 0 {
 					t.Fatal("finite interval sent no heartbeats")
 				}
-				// The registry and the legacy façade must agree.
-				if res.Counters.QueueOps != put+get {
-					t.Fatalf("façade QueueOps=%d, registry=%d", res.Counters.QueueOps, put+get)
+				// The dask/* totals must agree with the per-kind counts.
+				if q := res.Metrics.Counter("dask/queue_ops"); q != put+get {
+					t.Fatalf("dask/queue_ops=%d, per-kind=%d", q, put+get)
 				}
-				if res.Counters.MetadataMsgs != meta || res.Counters.Heartbeats != beats {
-					t.Fatalf("façade meta=%d hb=%d, registry meta=%d hb=%d",
-						res.Counters.MetadataMsgs, res.Counters.Heartbeats, meta, beats)
+				if m, b := res.Metrics.Counter("dask/metadata_msgs"), res.Metrics.Counter("dask/heartbeats"); m != meta || b != beats {
+					t.Fatalf("dask meta=%d hb=%d, per-kind meta=%d hb=%d", m, b, meta, beats)
 				}
 				// Every message the scheduler handled carries a kind label;
 				// the per-kind counters must sum to the grand total.
-				if sum := res.Metrics.SumCounters("scheduler/messages{"); sum != res.Counters.TotalSchedulerMsg {
-					t.Fatalf("kind counters sum to %d, total_scheduler_msgs=%d",
-						sum, res.Counters.TotalSchedulerMsg)
+				if sum, total := res.Metrics.SumCounters("scheduler/messages{"), res.Metrics.Counter("dask/total_scheduler_msgs"); sum != total {
+					t.Fatalf("kind counters sum to %d, total_scheduler_msgs=%d", sum, total)
 				}
-				if ext := res.Counters.ExternalCreated; ext != 0 {
+				if ext := res.Metrics.Counter("dask/external_created"); ext != 0 {
 					t.Fatalf("DEISA1 created %d external tasks", ext)
 				}
 			})
@@ -124,22 +122,21 @@ func TestFormulaMatrix(t *testing.T) {
 				if meta := msgKind(t, res, "metadata"); meta != 0 {
 					t.Fatalf("DEISA3 sent %d metadata refreshes", meta)
 				}
-				if ext := res.Counters.ExternalCreated; ext != T*R {
+				if ext := res.Metrics.Counter("dask/external_created"); ext != T*R {
 					t.Fatalf("external tasks = %d, want T*R = %d", ext, T*R)
 				}
 				if ud := msgKind(t, res, "update-data"); ud != T*R {
 					t.Fatalf("update-data msgs = %d, want T*R = %d", ud, T*R)
 				}
-				if g := res.Counters.GraphsSubmitted; g != 1 {
+				if g := res.Metrics.Counter("dask/graphs_submitted"); g != 1 {
 					t.Fatalf("graphs = %d, want exactly 1 (ahead-of-time submission)", g)
 				}
 				beats := msgKind(t, res, "heartbeat")
 				if math.IsInf(hb, 1) && beats != 0 {
 					t.Fatalf("infinite interval sent %d heartbeats", beats)
 				}
-				if sum := res.Metrics.SumCounters("scheduler/messages{"); sum != res.Counters.TotalSchedulerMsg {
-					t.Fatalf("kind counters sum to %d, total_scheduler_msgs=%d",
-						sum, res.Counters.TotalSchedulerMsg)
+				if sum, total := res.Metrics.SumCounters("scheduler/messages{"), res.Metrics.Counter("dask/total_scheduler_msgs"); sum != total {
+					t.Fatalf("kind counters sum to %d, total_scheduler_msgs=%d", sum, total)
 				}
 			})
 		}

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"deisago/internal/ml"
 	"deisago/internal/ndarray"
@@ -141,8 +143,8 @@ func TestDeisa1GraphCadence(t *testing.T) {
 	}
 	// Two graphs per step (stats + fit) plus final extraction.
 	T := int64(3)
-	if r1.Counters.GraphsSubmitted != 2*T+1 {
-		t.Fatalf("DEISA1 graphs = %d, want %d", r1.Counters.GraphsSubmitted, 2*T+1)
+	if g := r1.Metrics.Counter("dask/graphs_submitted"); g != 2*T+1 {
+		t.Fatalf("DEISA1 graphs = %d, want %d", g, 2*T+1)
 	}
 }
 
@@ -183,4 +185,32 @@ func TestSystemStringAndPredicates(t *testing.T) {
 	if m.Heartbeat(DEISA1) != 5 || m.Heartbeat(DEISA2) != 60 || !math.IsInf(m.Heartbeat(DEISA3), 1) {
 		t.Fatal("Heartbeat")
 	}
+}
+
+// TestRunLeavesNoGoroutines: every goroutine a run starts (workers,
+// ranks, bridges, analytics, tenant drivers) has exited by the time Run
+// or RunMultiJob returns, give or take a short settling deadline.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); n > start && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > start {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s leaves %d goroutines (started with %d):\n%s", what, n-start, start, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	for _, sys := range []System{DEISA1, DEISA3} {
+		if _, err := Run(smallConfig(sys)); err != nil {
+			t.Fatal(err)
+		}
+		settled(sys.String())
+	}
+	if _, err := RunMultiJob(mjConfig(2)); err != nil {
+		t.Fatal(err)
+	}
+	settled("2-tenant RunMultiJob")
 }

@@ -321,7 +321,6 @@ func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 			out.Makespan = end
 		}
 	}
-	dc.FlushTenantGauges()
 	dc.RecordUtilization(out.Makespan)
 	p.machine.Fabric().RecordUtilization(out.Makespan)
 	out.Metrics = p.reg.Snapshot()

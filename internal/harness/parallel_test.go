@@ -24,14 +24,13 @@ func tinyOptions(parallel int) Options {
 }
 
 // fingerprint serializes the parts of a Result the simulator guarantees
-// are a pure function of its Config: the scheduler counters, the canonical
-// (counter-only) metrics snapshot, bridge block statistics and the
+// are a pure function of its Config: the canonical (counter-only) metrics
+// snapshot, bridge block statistics and the
 // analytics values. Virtual timings are deliberately excluded — they are
 // FCFS-tie sensitive with or without sweep parallelism (see the golden
 // test's contract), so they are compared statistically, never bitwise.
 func fingerprint(r *Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "counters=%+v\n", r.Counters)
 	b.Write(r.Metrics.CanonicalJSON())
 	fmt.Fprintf(&b, "\nsent=%d skipped=%d\n", r.BlocksSent, r.BlocksSkipped)
 	if r.Components != nil {

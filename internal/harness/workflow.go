@@ -115,10 +115,10 @@ type Result struct {
 	// for data (in transit) or reading from storage (post hoc).
 	AnalyticsTime float64
 
-	Counters dask.Snapshot
 	// Metrics is the run's full observability snapshot: every counter,
 	// gauge series and histogram the instrumented components recorded
-	// (scheduler, workers, bridges, fabric links, PFS). The counter
+	// (scheduler, workers, bridges, fabric links, PFS), including the
+	// dask/* message totals behind §2.1's count argument. The counter
 	// subset is deterministic for a fixed Config (see metrics package
 	// doc); gauge/histogram values carry virtual timestamps and may
 	// vary across runs of the same seed.
@@ -376,14 +376,13 @@ func runInTransit(cfg Config) (*Result, error) {
 }
 
 // finish records the analytics outputs (the analytics started at virtual
-// time start) and the cluster's counters, trace and audit log on res, and
+// time start) and the cluster's trace and audit log on res, and
 // closes the utilization gauges at the end of the run, which it returns.
 func (e *env) finish(res *Result, dc *dask.Cluster, a analyticsResult, start vtime.Time) vtime.Time {
 	res.AnalyticsTime = a.duration
 	res.Components = a.components
 	res.SingularValues = a.singularValues
 	res.ExplainedVariance = a.explainedVariance
-	res.Counters = dc.Counters().Snapshot()
 	res.Trace = dc.TraceEvents()
 	_, res.FabricBytes = e.machine.Fabric().Transfers()
 	if dc.AuditEnabled() {

@@ -44,25 +44,6 @@ func TestSVDDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestQRDeterminismAcrossWorkers pins QR output across worker counts.
-// QR itself is sequential, but it consumes ndarray kernels (Copy,
-// MatMul in callers) whose parallelism must not leak into results.
-func TestQRDeterminismAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	a := randMat(rng, 300, 80)
-	prev := ndarray.SetWorkers(1)
-	q1, r1 := QR(a)
-	ndarray.SetWorkers(prev)
-	for _, w := range []int{2, 8} {
-		prev := ndarray.SetWorkers(w)
-		q2, r2 := QR(a)
-		ndarray.SetWorkers(prev)
-		if !ndarray.Equal(q1, q2) || !ndarray.Equal(r1, r2) {
-			t.Fatalf("QR differs with %d workers", w)
-		}
-	}
-}
-
 // TestSVDTournamentQuality re-checks reconstruction and orthonormality
 // on shapes whose column count exercises odd/even tournament schedules.
 func TestSVDTournamentQuality(t *testing.T) {
@@ -84,15 +65,6 @@ func TestSVDTournamentQuality(t *testing.T) {
 		if !ndarray.AllClose(Reconstruct(u, s, v), a, 1e-8) {
 			t.Fatalf("%v: U·S·Vᵀ does not reconstruct A", sh)
 		}
-	}
-}
-
-func BenchmarkKernelQR256x64(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := randMat(rng, 256, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		QR(x)
 	}
 }
 

@@ -1,12 +1,11 @@
 // Package linalg provides the dense linear algebra needed by the ML stack:
-// Householder QR and a one-sided Jacobi singular value decomposition. In
+// a one-sided Jacobi singular value decomposition. In
 // the original system this role is filled by LAPACK via NumPy/scikit-learn;
 // here it is implemented from scratch on ndarray so the whole repository
 // is stdlib-only.
 package linalg
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -62,135 +61,6 @@ func Eye(n int) *ndarray.Array {
 		a.Set(1, i, i)
 	}
 	return a
-}
-
-// QR computes the reduced QR factorization of an m×n matrix with m >= n:
-// A = Q·R with Q m×n having orthonormal columns and R n×n upper
-// triangular. The diagonal of R is non-negative.
-//
-// Reflectors are applied with row-major slice kernels: w = Hᵀv is
-// accumulated by sweeping matrix rows (each row segment is a contiguous
-// slice), then the rank-1 update subtracts v[i]·w from each row. This
-// replaces the seed's per-element At/Set column walks and keeps the
-// entire factorization allocation-light (one reflector and one work
-// vector reused across columns).
-func QR(a *ndarray.Array) (q, r *ndarray.Array) {
-	if a.NDim() != 2 {
-		panic("linalg: QR requires a 2-d array")
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	if m < n {
-		panic(fmt.Sprintf("linalg: QR requires m >= n, got %dx%d", m, n))
-	}
-	R := a.Copy()
-	rd := R.Data() // m×n row-major
-	// Accumulate Q as product of reflectors applied to identity (m×m is
-	// wasteful; keep m×n panel and apply reflectors from the left in
-	// reverse to the first n columns of I).
-	vs := make([][]float64, 0, n)
-	vnorms := make([]float64, 0, n)
-	w := make([]float64, n) // reflector application workspace
-	for k := 0; k < n; k++ {
-		// Build reflector for column k below the diagonal.
-		var norm float64
-		for i := k; i < m; i++ {
-			x := rd[i*n+k]
-			norm += x * x
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			vs = append(vs, nil)
-			vnorms = append(vnorms, 0)
-			continue
-		}
-		v := make([]float64, m)
-		alpha := -norm
-		if rd[k*n+k] < 0 {
-			alpha = norm
-		}
-		for i := k; i < m; i++ {
-			v[i] = rd[i*n+k]
-		}
-		v[k] -= alpha
-		var vnorm float64
-		for i := k; i < m; i++ {
-			vnorm += v[i] * v[i]
-		}
-		if vnorm == 0 {
-			vs = append(vs, nil)
-			vnorms = append(vnorms, 0)
-			continue
-		}
-		// Apply H = I - 2 v vᵀ / (vᵀv) to R's trailing columns:
-		// w[j] = Σ_i v[i]·R[i,j], then R[i,j] -= (2 v[i]/vᵀv)·w[j].
-		applyReflector(rd, v, w, vnorm, k, m, n, k)
-		vs = append(vs, v)
-		vnorms = append(vnorms, vnorm)
-	}
-	// Q = H_0 H_1 ... H_{n-1} · I_{m×n}.
-	Q := ndarray.New(m, n)
-	qd := Q.Data()
-	for j := 0; j < n; j++ {
-		qd[j*n+j] = 1
-	}
-	for k := n - 1; k >= 0; k-- {
-		if vs[k] == nil {
-			continue
-		}
-		applyReflector(qd, vs[k], w, vnorms[k], k, m, n, 0)
-	}
-	// Zero the strictly-lower part of R and truncate to n×n.
-	Rn := ndarray.New(n, n)
-	rnd := Rn.Data()
-	for i := 0; i < n; i++ {
-		copy(rnd[i*n+i:(i+1)*n], rd[i*n+i:(i+1)*n])
-	}
-	// Normalize sign so diag(R) >= 0.
-	for i := 0; i < n; i++ {
-		if rnd[i*n+i] < 0 {
-			for j := i; j < n; j++ {
-				rnd[i*n+j] = -rnd[i*n+j]
-			}
-			for r := 0; r < m; r++ {
-				qd[r*n+i] = -qd[r*n+i]
-			}
-		}
-	}
-	return Q, Rn
-}
-
-// applyReflector applies H = I - 2 v vᵀ / vnorm to columns [j0,n) of the
-// m×n row-major matrix d, touching rows [k,m). w is an n-length
-// workspace. Both passes sweep rows so every inner loop runs over a
-// contiguous slice; per-column dot products accumulate over ascending i,
-// matching the column-walk reference order.
-func applyReflector(d, v, w []float64, vnorm float64, k, m, n, j0 int) {
-	for j := j0; j < n; j++ {
-		w[j] = 0
-	}
-	for i := k; i < m; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		row := d[i*n+j0 : i*n+n]
-		ws := w[j0:n]
-		for j, x := range row {
-			ws[j] += vi * x
-		}
-	}
-	scale := 2 / vnorm
-	for i := k; i < m; i++ {
-		f := scale * v[i]
-		if f == 0 {
-			continue
-		}
-		row := d[i*n+j0 : i*n+n]
-		ws := w[j0:n]
-		for j := range row {
-			row[j] -= f * ws[j]
-		}
-	}
 }
 
 // SVD computes the thin singular value decomposition A = U·diag(S)·Vᵀ of
@@ -405,20 +275,6 @@ func IsOrthonormalCols(a *ndarray.Array, tol float64) bool {
 				want = 1
 			}
 			if math.Abs(gram.At(i, j)-want) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsUpperTriangular reports whether a square matrix is upper triangular
-// within tol.
-func IsUpperTriangular(a *ndarray.Array, tol float64) bool {
-	n := a.Dim(0)
-	for i := 1; i < n; i++ {
-		for j := 0; j < i; j++ {
-			if math.Abs(a.At(i, j)) > tol {
 				return false
 			}
 		}

@@ -33,83 +33,6 @@ func TestEye(t *testing.T) {
 	}
 }
 
-func TestQRKnown(t *testing.T) {
-	a := ndarray.FromSlice([]float64{
-		12, -51, 4,
-		6, 167, -68,
-		-4, 24, -41,
-	}, 3, 3)
-	q, r := QR(a)
-	if !IsOrthonormalCols(q, 1e-12) {
-		t.Fatal("Q not orthonormal")
-	}
-	if !IsUpperTriangular(r, 1e-12) {
-		t.Fatal("R not upper triangular")
-	}
-	if !ndarray.AllClose(ndarray.MatMul(q, r), a, 1e-10) {
-		t.Fatal("QR != A")
-	}
-	// Known values for this classic example: R diag = 14, 175, 35.
-	wantDiag := []float64{14, 175, 35}
-	for i, w := range wantDiag {
-		if math.Abs(r.At(i, i)-w) > 1e-9 {
-			t.Fatalf("R[%d,%d] = %v, want %v", i, i, r.At(i, i), w)
-		}
-	}
-}
-
-func TestQRTall(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randomMatrix(rng, 20, 5)
-	q, r := QR(a)
-	if q.Dim(0) != 20 || q.Dim(1) != 5 || r.Dim(0) != 5 || r.Dim(1) != 5 {
-		t.Fatalf("shapes Q=%v R=%v", q.Shape(), r.Shape())
-	}
-	if !IsOrthonormalCols(q, 1e-11) {
-		t.Fatal("Q not orthonormal")
-	}
-	if !ndarray.AllClose(ndarray.MatMul(q, r), a, 1e-10) {
-		t.Fatal("QR != A")
-	}
-	for i := 0; i < 5; i++ {
-		if r.At(i, i) < 0 {
-			t.Fatal("R diagonal not non-negative")
-		}
-	}
-}
-
-func TestQRRankDeficient(t *testing.T) {
-	// Second column is 2x the first.
-	a := ndarray.FromSlice([]float64{
-		1, 2,
-		2, 4,
-		3, 6,
-	}, 3, 2)
-	q, r := QR(a)
-	if !ndarray.AllClose(ndarray.MatMul(q, r), a, 1e-10) {
-		t.Fatal("QR != A for rank-deficient input")
-	}
-	if math.Abs(r.At(1, 1)) > 1e-10 {
-		t.Fatalf("rank-deficient R[1,1] = %v, want 0", r.At(1, 1))
-	}
-}
-
-func TestQRPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"wide":  func() { QR(ndarray.New(2, 3)) },
-		"rank1": func() { QR(ndarray.New(4)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestSVDKnownDiagonal(t *testing.T) {
 	a := ndarray.FromSlice([]float64{
 		3, 0,
@@ -244,23 +167,6 @@ func TestSVDQuick(t *testing.T) {
 			}
 		}
 		return ndarray.AllClose(Reconstruct(u, s, v), a, 1e-7*(1+a.Norm()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: QR invariants hold for random tall matrices.
-func TestQRQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(6) + 1
-		m := n + rng.Intn(6)
-		a := randomMatrix(rng, m, n)
-		q, r := QR(a)
-		return IsOrthonormalCols(q, 1e-9) &&
-			IsUpperTriangular(r, 1e-12) &&
-			ndarray.AllClose(ndarray.MatMul(q, r), a, 1e-9*(1+a.Norm()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

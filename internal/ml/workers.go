@@ -4,7 +4,7 @@ import "deisago/internal/ndarray"
 
 // SetKernelWorkers bounds the goroutine fan-out of the dense compute
 // kernels under every estimator in this package (PCA/IPCA SVD sweeps,
-// TSQR factorizations, MatMul projections) and returns the previous
+// MatMul projections) and returns the previous
 // bound. It is a process-wide knob shared with internal/ndarray and
 // internal/array: Dask-worker task bodies run in one Go process, so a
 // single cap models the machine's real cores.

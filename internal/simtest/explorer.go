@@ -158,9 +158,9 @@ func Fingerprint(res *harness.Result) string {
 	for _, v := range res.ExplainedVariance {
 		w(math.Float64bits(v))
 	}
-	c := res.Counters
-	w(uint64(c.GraphsSubmitted), uint64(c.TasksRegistered),
-		uint64(c.ExternalCreated))
+	m := res.Metrics
+	w(uint64(m.Counter("dask/graphs_submitted")), uint64(m.Counter("dask/tasks_registered")),
+		uint64(m.Counter("dask/external_created")))
 	w(uint64(res.BlocksSent), uint64(res.BlocksSkipped))
 	for _, e := range res.ChaosLog {
 		io.WriteString(h, e.String())
