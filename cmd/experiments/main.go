@@ -1,6 +1,8 @@
 // Command experiments regenerates the paper's tables and figures on the
-// simulated platform. Each figure of the evaluation section (Figures 2–5)
-// has a generator; -all runs everything, -quick uses a reduced scale.
+// simulated platform and runs single workflows. Each figure of the
+// evaluation section (Figures 2–5) has a generator; -all runs everything,
+// -quick uses a reduced scale. A non-empty -system runs one workflow
+// configuration and prints its measurements.
 //
 // Usage:
 //
@@ -9,87 +11,123 @@
 //	experiments -quick -fig 2b  # reduced scale (fast smoke run)
 //	experiments -headline       # the paper's ×7 / ×3 / ×18 ratios
 //	experiments -csv            # emit CSV instead of aligned tables
+//	experiments -system deisa3 -ranks 16 -workers 8 -steps 10 -block-mib 128
+//	experiments -system posthoc-new -ranks 64 -workers 32 -metrics-out m.json
+//
+// Systems: posthoc-old, posthoc-new, deisa1, deisa2, deisa3.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"deisago/internal/chaos"
+	"deisago/internal/dask"
 	"deisago/internal/harness"
-	"deisago/internal/ml"
 )
 
+// errUsage reports a command line that does not parse or selects
+// nothing to run.
+var errUsage = errors.New("usage")
+
 func main() {
-	var (
-		all      = flag.Bool("all", false, "run every figure")
-		fig      = flag.String("fig", "", "figure to run: 2a, 2b, 3a, 3b, 4a, 4b, 5, meta")
-		ablation = flag.String("ablation", "", "ablation to run: heartbeat, metadata, contract, placement, fuse, all")
-		headline = flag.Bool("headline", false, "compute the headline ratios")
-		quick    = flag.Bool("quick", false, "reduced scale (fast)")
-		csv      = flag.Bool("csv", false, "CSV output for tables")
-		svgDir   = flag.String("svg", "", "also write each figure as an SVG chart into this directory")
-		workers  = flag.Int("kernel-workers", 0, "cap goroutines per dense kernel (0 = GOMAXPROCS); figures are unaffected — time is virtual")
-		parallel = flag.Int("parallel", 0, "run up to this many independent simulations concurrently per sweep (0 = GOMAXPROCS, 1 = serial); outputs are byte-identical for any value")
-
-		chaosSeed  = flag.Int64("chaos-seed", 0, "run the Fig-2b pipeline under a seeded random fault plan (kills, link degradation, dropped publishes) and verify results against the fault-free run")
-		chaosPlan  = flag.String("chaos-plan", "", "explicit fault plan DSL, e.g. 'kill:1@0/3;degrade:2-5:4@0.5-inf;drop:0/2:2;delay:1/4:0.25' (overrides -chaos-seed)")
-		chaosRanks = flag.Int("chaos-ranks", 4, "ranks for the chaos scenario")
-		chaosWrk   = flag.Int("chaos-workers", 4, "workers for the chaos scenario")
-		workerMem  = flag.Int64("worker-mem", 0, "per-worker managed-memory limit (MiB) for the chaos scenario; enables LRU spill-to-PFS, scatter backpressure, and a random memlimit squeeze in seeded plans (0 = unlimited)")
-
-		metricsOut = flag.String("metrics-out", "", "run a fixed-seed DEISA3 reference workflow at the sweep scale and write its metrics snapshot to this file (.csv extension selects CSV, anything else JSON)")
-
-		jobs          = flag.Int("jobs", 0, "run this many concurrent pipelines as tenants of one shared platform and print per-tenant fingerprints and fairness")
-		tenantWeights = flag.String("tenant-weights", "", "comma-separated fair-share weights for -jobs, cycled over the jobs (e.g. '1,2,8'; default all 1)")
-		jobsMax       = flag.Int("jobs-max-concurrent", 0, "admission cap for -jobs: at most this many jobs run at once (0 = unlimited)")
-		jobsPlan      = flag.String("jobs-plan", "", "fault plan DSL for the -jobs run, e.g. 'killjob:job1@2' (worker kills not supported here)")
-	)
-	flag.Parse()
-
-	if *workers > 0 {
-		ml.SetKernelWorkers(*workers)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		fmt.Fprintln(os.Stderr, "error:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
+}
+
+// run parses args and executes every selected mode, writing results to
+// stdout and progress lines to standard error.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	var (
+		all      = fs.Bool("all", false, "run every figure")
+		fig      = fs.String("fig", "", "figure to run: 2a, 2b, 3a, 3b, 4a, 4b, 5, meta")
+		ablation = fs.String("ablation", "", "ablation to run: heartbeat, metadata, contract, placement, fuse, all")
+		headline = fs.Bool("headline", false, "compute the headline ratios")
+		quick    = fs.Bool("quick", false, "reduced scale (fast)")
+		csv      = fs.Bool("csv", false, "CSV output for tables")
+		svgDir   = fs.String("svg", "", "also write each figure as an SVG chart into this directory")
+		parallel = fs.Int("parallel", 0, "run up to this many independent simulations concurrently per sweep (0 = GOMAXPROCS, 1 = serial); outputs are byte-identical for any value")
+
+		system   = fs.String("system", "", "run one workflow: posthoc-old|posthoc-new|deisa1|deisa2|deisa3")
+		ranks    = fs.Int("ranks", 4, "MPI processes (simulation side) for -system and the chaos scenario")
+		workers  = fs.Int("workers", 4, "Dask workers (analytics side) for -system and the chaos scenario")
+		steps    = fs.Int("steps", 10, "timesteps for -system")
+		blockMiB = fs.Int64("block-mib", 128, "modelled block size per process per step (MiB) for -system")
+		seed     = fs.Int64("seed", 1, "allocation/jitter seed for -system (a 'run' in the paper's sense)")
+		perRank  = fs.Bool("per-rank", false, "with -system, print per-rank communication statistics (Figure 5 style)")
+		trace    = fs.String("trace", "", "with -system, write a Chrome trace-event JSON of the analytics tasks to this file")
+		workMem  = fs.Int64("worker-mem", 0, "per-worker managed-memory limit (MiB) for -system, -jobs and the chaos scenario; enables LRU spill-to-PFS, scatter backpressure, and a random memlimit squeeze in seeded plans (0 = unlimited)")
+		metrics  = fs.String("metrics-out", "", "with -system, write the run's metrics snapshot to this file (.csv extension selects CSV, anything else JSON)")
+
+		chaosSeed = fs.Int64("chaos-seed", 0, "run the Fig-2b pipeline under a seeded random fault plan (kills, link degradation, dropped publishes) and verify results against the fault-free run")
+		chaosPlan = fs.String("chaos-plan", "", "explicit fault plan DSL, e.g. 'kill:1@0/3;degrade:2-5:4@0.5-inf;drop:0/2:2;delay:1/4:0.25' (overrides -chaos-seed)")
+
+		jobs          = fs.Int("jobs", 0, "run this many concurrent pipelines as tenants of one shared platform and print per-tenant fingerprints and fairness")
+		tenantWeights = fs.String("tenant-weights", "", "comma-separated fair-share weights for -jobs, cycled over the jobs (e.g. '1,2,8'; default all 1)")
+		jobsMax       = fs.Int("jobs-max-concurrent", 0, "admission cap for -jobs: at most this many jobs run at once (0 = unlimited)")
+		jobsPlan      = fs.String("jobs-plan", "", "fault plan DSL for the -jobs run, e.g. 'killjob:job1@2' (worker kills not supported here)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+
 	opts := harness.DefaultOptions()
 	if *quick {
 		opts = harness.QuickOptions()
 	}
 	opts.Parallel = *parallel
 	if !*all && *fig == "" && !*headline && *ablation == "" && *chaosSeed == 0 && *chaosPlan == "" &&
-		*metricsOut == "" && *jobs == 0 {
-		flag.Usage()
-		os.Exit(2)
+		*system == "" && *jobs == 0 {
+		fs.Usage()
+		return fmt.Errorf("%w: pass -system, -fig, -headline, -ablation, -all, -chaos-seed, -chaos-plan or -jobs", errUsage)
 	}
 
 	if *jobs > 0 {
-		runMultiJob(opts, *jobs, *tenantWeights, *jobsMax, *jobsPlan, *workerMem<<20, *quick)
+		if err := runMultiJob(stdout, opts, *jobs, *tenantWeights, *jobsMax, *jobsPlan, *workMem<<20, *quick); err != nil {
+			return err
+		}
 	}
 
-	if *metricsOut != "" {
-		procs := opts.WeakProcs[0]
-		res, err := harness.Run(harness.Config{
-			System: harness.DEISA3, Ranks: procs, Workers: procs / 2,
-			Timesteps: opts.Timesteps, BlockBytes: opts.BlockBytes,
-			Seed: 7, Model: opts.Model,
-		})
-		check(err)
-		f, err := os.Create(*metricsOut)
-		check(err)
-		if strings.HasSuffix(*metricsOut, ".csv") {
-			check(res.Metrics.WriteCSV(f))
-		} else {
-			check(res.Metrics.WriteJSON(f))
+	if *system != "" {
+		sys, err := parseSystem(*system)
+		if err != nil {
+			return err
 		}
-		check(f.Close())
-		fmt.Fprintf(os.Stderr, "[metrics (DEISA3, %d procs, seed 7) -> %s]\n", procs, *metricsOut)
+		cfg := harness.Config{
+			System:            sys,
+			Ranks:             *ranks,
+			Workers:           *workers,
+			Timesteps:         *steps,
+			BlockBytes:        *blockMiB << 20,
+			WorkerMemoryLimit: *workMem << 20,
+			Seed:              *seed,
+			EnableTrace:       *trace != "",
+		}
+		if err := runSingle(stdout, cfg, *trace, *metrics, *perRank); err != nil {
+			return err
+		}
 	}
 
 	if *chaosSeed != 0 || *chaosPlan != "" {
-		cfg := harness.ChaosScenarioConfig(opts, *chaosRanks, *chaosWrk)
-		cfg.WorkerMemoryLimit = *workerMem << 20
+		cfg := harness.ChaosScenarioConfig(opts, *ranks, *workers)
+		cfg.WorkerMemoryLimit = *workMem << 20
 		var plan *chaos.Plan
 		var err error
 		if *chaosPlan != "" {
@@ -97,131 +135,222 @@ func main() {
 		} else {
 			plan, err = chaos.NewRandomPlan(*chaosSeed, harness.ChaosSpec(cfg))
 		}
-		check(err)
+		if err != nil {
+			return err
+		}
 		start := time.Now()
 		chaosPar := opts.Parallel
 		if chaosPar == 0 {
 			chaosPar = 2
 		}
 		report, err := harness.RunChaosParallel(cfg, plan, chaosPar)
-		check(err)
-		fmt.Print(report.Format())
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, report.Format())
 		fmt.Fprintf(os.Stderr, "[chaos done in %v]\n", time.Since(start).Round(time.Millisecond))
 		if !report.Identical {
-			os.Exit(1)
+			return errors.New("chaos run diverged from the fault-free run")
 		}
 	}
 
-	figName := "figure"
-	emit := func(t *harness.Table, err error) {
-		check(err)
-		if *csv {
-			fmt.Println(t.CSV())
-		} else {
-			fmt.Println(t.Format())
-		}
-		if *svgDir != "" {
-			path := fmt.Sprintf("%s/fig%s.svg", *svgDir, figName)
-			check(os.WriteFile(path, []byte(t.RenderSVG(900, 420)), 0o644))
-			fmt.Fprintf(os.Stderr, "[svg -> %s]\n", path)
-		}
+	// A figure or ablation prints one table (and renders it under -svg);
+	// Figure 5 and the metadata counts have formats of their own.
+	tables := map[string]func(harness.Options) (*harness.Table, error){
+		"2a": harness.Fig2a, "2b": harness.Fig2b, "3a": harness.Fig3a,
+		"3b": harness.Fig3b, "4a": harness.Fig4a, "4b": harness.Fig4b,
+		"ablation-heartbeat": func(o harness.Options) (*harness.Table, error) { return harness.AblationHeartbeat(o, nil) },
+		"ablation-metadata":  func(o harness.Options) (*harness.Table, error) { return harness.AblationMetadata(o, nil) },
+		"ablation-contract":  func(o harness.Options) (*harness.Table, error) { return harness.AblationContract(o, nil) },
+		"ablation-placement": harness.AblationPlacement,
+		"ablation-fuse":      harness.AblationFuse,
 	}
-
-	run := func(name string) {
+	writeSVG := func(name, svg string) error {
+		if *svgDir == "" {
+			return nil
+		}
+		path := fmt.Sprintf("%s/fig%s.svg", *svgDir, name)
+		fmt.Fprintf(os.Stderr, "[svg -> %s]\n", path)
+		return os.WriteFile(path, []byte(svg), 0o644)
+	}
+	runFig := func(name string) error {
 		start := time.Now()
-		figName = strings.ToLower(name)
-		switch figName {
-		case "2a":
-			emit(harness.Fig2a(opts))
-		case "2b":
-			emit(harness.Fig2b(opts))
-		case "3a":
-			emit(harness.Fig3a(opts))
-		case "3b":
-			emit(harness.Fig3b(opts))
-		case "4a":
-			emit(harness.Fig4a(opts))
-		case "4b":
-			emit(harness.Fig4b(opts))
-		case "5":
-			runs, err := harness.Fig5(opts)
-			check(err)
-			fmt.Println(harness.FormatFig5(runs))
-			if *svgDir != "" {
-				path := fmt.Sprintf("%s/fig5.svg", *svgDir)
-				check(os.WriteFile(path, []byte(harness.RenderFig5SVG(runs, 960, 640)), 0o644))
-				fmt.Fprintf(os.Stderr, "[svg -> %s]\n", path)
+		name = strings.ToLower(name)
+		gen, ok := tables[name]
+		switch {
+		case ok:
+			t, err := gen(opts)
+			if err != nil {
+				return err
 			}
-		case "meta":
+			if *csv {
+				fmt.Fprintln(stdout, t.CSV())
+			} else {
+				fmt.Fprintln(stdout, t.Format())
+			}
+			if err := writeSVG(name, t.RenderSVG(900, 420)); err != nil {
+				return err
+			}
+		case name == "5":
+			runs, err := harness.Fig5(opts)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, harness.FormatFig5(runs))
+			if err := writeSVG(name, harness.RenderFig5SVG(runs, 960, 640)); err != nil {
+				return err
+			}
+		case name == "meta":
 			ranks := opts.WeakProcs[len(opts.WeakProcs)-1]
 			mc, err := harness.ComputeMetadataCounts(opts, ranks, ranks/2)
-			check(err)
-			fmt.Println(mc.Format())
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, mc.Format())
 		default:
-			fmt.Fprintf(os.Stderr, "unknown figure %q\n", name)
-			os.Exit(2)
+			return fmt.Errorf("unknown figure or ablation %q", name)
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		return nil
 	}
 
-	if *headline {
-		h, err := harness.ComputeHeadline(opts)
-		check(err)
-		fmt.Println(h.Format())
-	}
+	var names []string
 	if *fig != "" {
-		run(*fig)
+		names = append(names, *fig)
 	}
-	runAblation := func(name string) {
-		start := time.Now()
-		figName = "ablation-" + strings.ToLower(name)
-		switch strings.ToLower(name) {
-		case "heartbeat":
-			emit(harness.AblationHeartbeat(opts, nil))
-		case "metadata":
-			emit(harness.AblationMetadata(opts, nil))
-		case "contract":
-			emit(harness.AblationContract(opts, nil))
-		case "placement":
-			emit(harness.AblationPlacement(opts))
-		case "fuse":
-			emit(harness.AblationFuse(opts))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown ablation %q\n", name)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "[ablation %s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
-	}
-	if *ablation == "all" {
-		for _, a := range []string{"heartbeat", "metadata", "contract", "placement", "fuse"} {
-			runAblation(a)
-		}
-	} else if *ablation != "" {
-		runAblation(*ablation)
+	switch *ablation {
+	case "":
+	case "all":
+		names = append(names, "ablation-heartbeat", "ablation-metadata", "ablation-contract",
+			"ablation-placement", "ablation-fuse")
+	default:
+		names = append(names, "ablation-"+*ablation)
 	}
 	if *all {
-		for _, f := range []string{"2a", "2b", "3a", "3b", "4a", "4b", "5", "meta"} {
-			run(f)
-		}
-		h, err := harness.ComputeHeadline(opts)
-		check(err)
-		fmt.Println(h.Format())
+		names = append(names, "2a", "2b", "3a", "3b", "4a", "4b", "5", "meta")
 	}
+	if *headline {
+		h, err := harness.ComputeHeadline(opts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, h.Format())
+	}
+	for _, name := range names {
+		if err := runFig(name); err != nil {
+			return err
+		}
+	}
+	if *all {
+		h, err := harness.ComputeHeadline(opts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, h.Format())
+	}
+	return nil
+}
+
+// runSingle executes one workflow configuration, prints its
+// measurements and writes the optional trace and metrics files.
+func runSingle(stdout io.Writer, cfg harness.Config, trace, metricsOut string, perRank bool) error {
+	res, err := harness.Run(cfg)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(stdout, "system      : %s\n", cfg.System)
+	fmt.Fprintf(stdout, "scale       : %d ranks (%d nodes), %d workers (%d nodes), %d steps, %d MiB/block\n",
+		cfg.Ranks, res.SimNodes, cfg.Workers, res.AnalyticsNodes, cfg.Timesteps, cfg.BlockBytes>>20)
+	fmt.Fprintf(stdout, "simulation  : %.3f s/iter compute, makespan %.2f s\n", res.SimStepMean, res.SimMakespan)
+	fmt.Fprintf(stdout, "coupling    : %.3f ± %.3f s/iter  (%.0f MiB/s per process)\n",
+		res.CommMean, res.CommStd, res.SimBandwidthMiBps())
+	fmt.Fprintf(stdout, "analytics   : %.2f s  (%.0f MiB/s), singular values %v\n",
+		res.AnalyticsTime, res.AnalyticsBandwidthMiBps(), res.SingularValues)
+	fmt.Fprintf(stdout, "cost        : coupling %.3f core·h, analytics %.3f core·h\n",
+		res.SimCommCostCoreHours(), res.AnalyticsCostCoreHours())
+	c := func(name string) int64 { return res.Metrics.Counter("dask/" + name) }
+	fmt.Fprintf(stdout, "scheduler   : %d msgs total — %d graph(s), %d update-data, %d metadata, %d queue ops, %d heartbeats, %d external tasks\n",
+		c("total_scheduler_msgs"), c("graphs_submitted"), c("update_data_msgs"), c("metadata_msgs"),
+		c("queue_ops"), c("heartbeats"), c("external_created"))
+
+	if trace != "" {
+		// Gauge series ride along as counter tracks under the task stream.
+		if err := writeFile(trace, func(w io.Writer) error {
+			return dask.WriteChromeTraceWithMetrics(w, res.Trace, res.Metrics)
+		}); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "trace       : %d task spans -> %s (open in chrome://tracing)\n", len(res.Trace), trace)
+	}
+
+	if metricsOut != "" {
+		// The file extension picks the format: CSV for .csv, JSON otherwise.
+		write := res.Metrics.WriteJSON
+		if strings.HasSuffix(metricsOut, ".csv") {
+			write = res.Metrics.WriteCSV
+		}
+		if err := writeFile(metricsOut, write); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "metrics     : %d counters, %d gauges, %d histograms -> %s\n",
+			len(res.Metrics.Counters), len(res.Metrics.Gauges), len(res.Metrics.Histograms), metricsOut)
+	}
+
+	if perRank {
+		fmt.Fprintln(stdout, "\nper-rank communication time (mean ± std over iterations):")
+		for r := range res.PerRankCommMean {
+			bar := strings.Repeat("#", int(res.PerRankCommMean[r]/res.CommMean*20))
+			fmt.Fprintf(stdout, "  rank %3d: %7.3f ± %6.3f s  %s\n",
+				r, res.PerRankCommMean[r], res.PerRankCommStd[r], bar)
+		}
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return f.Close()
+}
+
+func parseSystem(s string) (harness.System, error) {
+	switch strings.ToLower(s) {
+	case "posthoc-old", "posthoc", "dask-old":
+		return harness.PostHocOldIPCA, nil
+	case "posthoc-new", "dask", "dask-new":
+		return harness.PostHocNewIPCA, nil
+	case "deisa1":
+		return harness.DEISA1, nil
+	case "deisa2":
+		return harness.DEISA2, nil
+	case "deisa3", "deisa":
+		return harness.DEISA3, nil
+	}
+	return 0, fmt.Errorf("unknown system %q (want posthoc-old|posthoc-new|deisa1|deisa2|deisa3)", s)
 }
 
 // runMultiJob runs n concurrent tenant pipelines on one shared
 // platform and prints the per-tenant outcome table: fingerprints are
 // reproducible for a fixed seed regardless of the admission
 // interleaving, so two invocations must print identical digests.
-func runMultiJob(opts harness.Options, n int, weightsCSV string, maxConcurrent int,
-	planDSL string, workerMem int64, quick bool) {
+func runMultiJob(stdout io.Writer, opts harness.Options, n int, weightsCSV string, maxConcurrent int,
+	planDSL string, workerMem int64, quick bool) error {
 	start := time.Now()
 	var weights []float64
 	if weightsCSV != "" {
 		for _, f := range strings.Split(weightsCSV, ",") {
 			var w float64
-			_, err := fmt.Sscanf(strings.TrimSpace(f), "%g", &w)
-			check(err)
+			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%g", &w); err != nil {
+				return fmt.Errorf("-tenant-weights %q: %w", weightsCSV, err)
+			}
 			weights = append(weights, w)
 		}
 	}
@@ -254,14 +383,18 @@ func runMultiJob(opts harness.Options, n int, weightsCSV string, maxConcurrent i
 	}
 	if planDSL != "" {
 		plan, err := chaos.ParsePlan(planDSL)
-		check(err)
+		if err != nil {
+			return err
+		}
 		cfg.ChaosPlan = plan
 	}
 	res, err := harness.RunMultiJob(cfg)
-	check(err)
+	if err != nil {
+		return err
+	}
 
-	fmt.Printf("Multi-tenant run: %d jobs, %d workers, seed %d\n", n, cfg.Workers, cfg.Seed)
-	fmt.Printf("%-8s %6s %6s %6s %6s %8s %7s %10s %8s  %s\n",
+	fmt.Fprintf(stdout, "Multi-tenant run: %d jobs, %d workers, seed %d\n", n, cfg.Workers, cfg.Seed)
+	fmt.Fprintf(stdout, "%-8s %6s %6s %6s %6s %8s %7s %10s %8s  %s\n",
 		"tenant", "weight", "ranks", "steps", "sent", "skipped", "killed", "analytics", "share", "fingerprint")
 	tenantShare := map[string]float64{}
 	for _, ts := range res.Tenants {
@@ -272,24 +405,16 @@ func runMultiJob(opts harness.Options, n int, weightsCSV string, maxConcurrent i
 		if j.Killed {
 			killed = fmt.Sprintf("@%d", j.KilledStep)
 		}
-		fmt.Printf("%-8s %6g %6d %6d %6d %8d %7s %9.4fs %7.1f%%  %s\n",
+		fmt.Fprintf(stdout, "%-8s %6g %6d %6d %6d %8d %7s %9.4fs %7.1f%%  %s\n",
 			j.Name, j.Weight, specs[i].Ranks, specs[i].Timesteps,
 			j.BlocksSent, j.BlocksSkipped, killed, j.AnalyticsTime,
 			100*tenantShare[j.Name], j.Fingerprint[:16])
 	}
-	fmt.Printf("jain=%.4f admitted=%d max_queue=%d makespan=%.4fs\n",
+	fmt.Fprintf(stdout, "jain=%.4f admitted=%d max_queue=%d makespan=%.4fs\n",
 		res.Jain, res.Admission.Admitted, res.Admission.MaxQueue, res.Makespan)
-	if len(res.ChaosLog) > 0 {
-		for _, e := range res.ChaosLog {
-			fmt.Printf("fault: %s\n", e.String())
-		}
+	for _, e := range res.ChaosLog {
+		fmt.Fprintf(stdout, "fault: %s\n", e.String())
 	}
 	fmt.Fprintf(os.Stderr, "[multijob done in %v]\n", time.Since(start).Round(time.Millisecond))
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -1,0 +1,55 @@
+package main
+
+import (
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"deisago/internal/metrics"
+)
+
+func TestParseSystem(t *testing.T) {
+	cases := map[string]bool{
+		"deisa3": true, "DEISA1": true, "posthoc-new": true, "dask": true,
+		"posthoc-old": true, "deisa": true, "nonsense": false, "": false,
+	}
+	for in, ok := range cases {
+		_, err := parseSystem(in)
+		if ok && err != nil {
+			t.Fatalf("parseSystem(%q) errored: %v", in, err)
+		}
+		if !ok && err == nil {
+			t.Fatalf("parseSystem(%q) accepted", in)
+		}
+	}
+}
+
+// TestRunSystemWritesMetrics drives the single-run mode end to end and
+// checks the exported snapshot counts the run's external tasks.
+func TestRunSystemWritesMetrics(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	args := []string{"-system", "deisa3", "-ranks", "2", "-workers", "1", "-steps", "2",
+		"-block-mib", "1", "-metrics-out", path}
+	if err := run(args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap metrics.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counter("dask/external_created"); got <= 0 {
+		t.Fatalf("dask/external_created = %d in %s", got, raw)
+	}
+}
+
+func TestRunUnknownSystem(t *testing.T) {
+	if err := run([]string{"-system", "nonsense"}, io.Discard); err == nil {
+		t.Fatal("-system nonsense accepted")
+	}
+}

@@ -32,6 +32,9 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// cmd/experiments reproduces every figure at paper scale; bench/ (run
-// with `bash bench/run.sh`) is the whole-run benchmark.
+// cmd/experiments is the one CLI: it reproduces every figure at paper
+// scale and runs single workflows (-system). The runnable examples are
+// Example functions in internal/core, internal/harness and internal/sim,
+// checked by `go test ./...`. bench/ (run with `bash bench/run.sh`) is
+// the whole-run benchmark.
 package deisago

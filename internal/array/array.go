@@ -31,7 +31,6 @@ type Chunked struct {
 	graph      *taskgraph.Graph
 	keys       map[string]taskgraph.Key
 	externals  map[taskgraph.Key]bool
-	byteScale  int64 // modelled bytes per stored element / 8 (default 1)
 }
 
 // New creates an empty chunked array skeleton; chunks are attached by the
@@ -55,24 +54,8 @@ func newChunked(name string, shape, chunkShape []int) *Chunked {
 		graph:      taskgraph.New(),
 		keys:       map[string]taskgraph.Key{},
 		externals:  map[taskgraph.Key]bool{},
-		byteScale:  1,
 	}
 }
-
-// SetByteScale declares that each element models `scale` real elements:
-// ChunkBytes (and every cost derived from it) is multiplied by scale.
-// Harness code uses this to run small arrays that stand in for
-// paper-scale blocks.
-func (a *Chunked) SetByteScale(scale int64) *Chunked {
-	if scale <= 0 {
-		panic("array: byte scale must be positive")
-	}
-	a.byteScale = scale
-	return a
-}
-
-// ByteScale returns the modelled-size multiplier.
-func (a *Chunked) ByteScale() int64 { return a.byteScale }
 
 // FromKeys builds an array whose chunks are externally produced keys
 // (external tasks or scattered data); keyAt maps a chunk coordinate to
@@ -163,7 +146,7 @@ func (a *Chunked) ChunkBytes(idx []int) int64 {
 	for _, e := range a.ChunkExtent(idx) {
 		n *= int64(e)
 	}
-	return n * 8 * a.byteScale
+	return n * 8
 }
 
 // ChunkKey returns the key producing the chunk at idx.
@@ -211,7 +194,6 @@ func (a *Chunked) eachChunk(f func(idx []int)) {
 // derive creates a result array sharing this array's graph (merged).
 func (a *Chunked) derive(name string, shape, chunkShape []int) *Chunked {
 	out := newChunked(name, shape, chunkShape)
-	out.byteScale = a.byteScale
 	out.graph.Merge(a.graph)
 	for k := range a.externals {
 		out.externals[k] = true

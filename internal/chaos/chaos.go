@@ -356,12 +356,6 @@ type Spec struct {
 	// time-bounded). MemBytes must be positive when MemLimits > 0.
 	MemLimits int
 	MemBytes  int64
-
-	// Tenants are the job names of a multi-job scenario; JobKills is how
-	// many of them to cancel mid-run (distinct victims, at most
-	// len(Tenants)-1 so at least one job survives).
-	Tenants  []string
-	JobKills int
 }
 
 // NewRandomPlan draws a fault plan from the seed. Kill victims are
@@ -382,10 +376,6 @@ func NewRandomPlan(seed int64, spec Spec) (*Plan, error) {
 	}
 	if spec.MemLimits > 0 && spec.MemBytes <= 0 {
 		return nil, fmt.Errorf("chaos: memlimit draws need MemBytes > 0")
-	}
-	if spec.JobKills > 0 && spec.JobKills > len(spec.Tenants)-1 {
-		return nil, fmt.Errorf("chaos: %d job kills would leave no surviving tenant of %d",
-			spec.JobKills, len(spec.Tenants))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	p := &Plan{Seed: seed}
@@ -442,17 +432,6 @@ func NewRandomPlan(seed int64, spec Spec) (*Plan, error) {
 			Limit: limit, Start: start,
 			End: start + vtime.Time(0.5+rng.Float64()),
 		})
-	}
-	// Job-kill draws come last (after memlimit) for the same reason the
-	// memlimit draws do: plans from pre-killjob seeds stay byte-identical
-	// when JobKills is zero.
-	if spec.JobKills > 0 {
-		perm := rng.Perm(len(spec.Tenants))[:spec.JobKills]
-		for _, ti := range perm {
-			p.Events = append(p.Events, Event{
-				Kind: KindKillJob, Tenant: spec.Tenants[ti], Step: step(),
-			})
-		}
 	}
 	return p, nil
 }

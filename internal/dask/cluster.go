@@ -71,9 +71,6 @@ func (c *Cluster) Close() {
 // NumWorkers returns the number of workers.
 func (c *Cluster) NumWorkers() int { return len(c.workers) }
 
-// WorkerNode returns the fabric node of worker i.
-func (c *Cluster) WorkerNode(i int) netsim.NodeID { return c.workers[i].node }
-
 // SchedulerNode returns the scheduler's fabric node.
 func (c *Cluster) SchedulerNode() netsim.NodeID { return c.schedNode }
 

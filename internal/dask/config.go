@@ -49,11 +49,6 @@ type Config struct {
 	// memory gauges, the dask/* message totals). When nil, NewCluster
 	// creates a private registry, so Cluster.Metrics is never nil.
 	Metrics *metrics.Registry
-	// SpillThresholdBytes is the per-worker memory level above which
-	// stored blocks count as spill-eligible in the worker gauges (the
-	// gauge exposes pressure independently of the hard limit below). 0
-	// means no threshold: nothing counts as spill-eligible for the gauge.
-	SpillThresholdBytes int64
 	// WorkerMemoryLimit is the per-worker managed-memory limit in bytes.
 	// When positive, every stored block is accounted in the worker's
 	// ledger and the least-recently-used non-external blocks are spilled
@@ -61,12 +56,6 @@ type Config struct {
 	// spilled blocks are transparently read back on dependency gather.
 	// 0 disables governance entirely (the zero-cost fast path).
 	WorkerMemoryLimit int64
-	// WorkerHighWatermark is the pause threshold as a fraction of the
-	// effective memory limit: a worker whose ledger is at or above
-	// watermark*limit is "paused" — the scheduler stops assigning ready
-	// tasks to it and producers scattering to it back off in virtual
-	// time. <= 0 selects the default 0.8 (Dask's pause fraction).
-	WorkerHighWatermark float64
 	// SpillFS is the parallel file system blocks spill to. Spill writes
 	// and unspill reads charge virtual-time I/O costs there (block values
 	// stay in host memory; only costs are modelled). nil makes the
@@ -81,13 +70,12 @@ type Config struct {
 	TieBreak TieBreaker
 }
 
-// highWatermark returns the effective pause fraction.
-func (c Config) highWatermark() float64 {
-	if c.WorkerHighWatermark <= 0 {
-		return 0.8
-	}
-	return c.WorkerHighWatermark
-}
+// highWatermark is the pause threshold as a fraction of the effective
+// memory limit (Dask's pause fraction): a worker whose ledger is at or
+// above highWatermark*limit is "paused" — the scheduler stops assigning
+// ready tasks to it and producers scattering to it back off in virtual
+// time.
+const highWatermark = 0.8
 
 // DefaultConfig returns parameters calibrated against Dask.distributed's
 // documented magnitudes (sub-millisecond per-task scheduler overhead,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -112,6 +113,55 @@ func TestSpillAndUnspillRoundTrip(t *testing.T) {
 	}
 	if cl.Now() <= before {
 		t.Fatal("unspill reads charged no virtual time")
+	}
+}
+
+// TestMemoryGaugesZeroAfterRelease checks that an ungoverned worker's
+// memory gauge comes back down: once the client has gathered and
+// released every result, every worker memory series reads 0.
+func TestMemoryGaugesZeroAfterRelease(t *testing.T) {
+	c, cl := testCluster(t, 2)
+	if err := cl.Scatter([]ScatterItem{{Key: "x", Value: []float64{1, 2, 3, 4}}}, false, 1); err != nil {
+		t.Fatal(err)
+	}
+	g := taskgraph.New()
+	g.AddFn("a", nil, func([]any) (any, error) { return []float64{1, 2}, nil }, 1e-4)
+	g.AddFn("b", []taskgraph.Key{"a", "x"}, func(in []any) (any, error) {
+		return []float64{in[0].([]float64)[0] + in[1].([]float64)[3]}, nil
+	}, 1e-4)
+	futs, err := cl.Submit(g, []taskgraph.Key{"b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Gather(futs); err != nil {
+		t.Fatal(err)
+	}
+	held := 0.0
+	for _, gs := range c.Metrics().Snapshot().Gauges {
+		if strings.HasPrefix(gs.ID, "worker/memory_bytes") {
+			held += gs.Value
+		}
+	}
+	if held == 0 {
+		t.Fatal("no worker memory gauge rose before release")
+	}
+	if err := cl.Release(futs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Release([]*Future{{Key: "a", client: cl}, {Key: "x", client: cl}}); err != nil {
+		t.Fatal(err)
+	}
+	series := 0
+	for _, gs := range c.Metrics().Snapshot().Gauges {
+		if strings.HasPrefix(gs.ID, "worker/memory_bytes") || strings.HasPrefix(gs.ID, "memory/") {
+			series++
+			if gs.Value != 0 {
+				t.Errorf("%s = %v after release, want 0", gs.ID, gs.Value)
+			}
+		}
+	}
+	if series < 2 {
+		t.Fatalf("found %d worker memory series, want one per worker", series)
 	}
 }
 

@@ -111,8 +111,6 @@ type worker struct {
 
 	// Registry handles, created once at construction.
 	mMem      *metrics.Gauge   // object-store bytes held
-	mSpill    *metrics.Gauge   // blocks eligible for spilling
-	mManaged  *metrics.Gauge   // managed-memory ledger (resident bytes)
 	mSpillB   *metrics.Counter // cumulative bytes spilled (cluster-wide)
 	mSpillEv  *metrics.Counter // spill events (cluster-wide)
 	mExecuted *metrics.Counter // tasks completed
@@ -130,8 +128,6 @@ func newWorker(cl *Cluster, id int, node netsim.NodeID) *worker {
 	}
 	lid := metrics.LInt("id", id)
 	w.mMem = cl.reg.Gauge("worker", "memory_bytes", lid)
-	w.mSpill = cl.reg.Gauge("worker", "spill_eligible_blocks", lid)
-	w.mManaged = cl.reg.Gauge("memory", "managed", metrics.LInt("worker", id))
 	w.mSpillB = cl.reg.Counter("memory", "spilled_bytes")
 	w.mSpillEv = cl.reg.Counter("memory", "spill_events")
 	w.mExecuted = cl.reg.Counter("worker", "tasks_executed", lid)
@@ -355,23 +351,9 @@ func (w *worker) put(id taskID, value any, bytes int64, readyAt vtime.Time, exte
 	if w.governed() {
 		w.governLocked(readyAt, id)
 	}
-	mem, spill := w.memBytes, w.spillEligibleLocked()
+	mem := w.memBytes
 	w.storeMu.Unlock()
 	w.mMem.Set(float64(mem), readyAt)
-	w.mSpill.Set(float64(spill), readyAt)
-	w.mManaged.Set(float64(mem), readyAt)
-}
-
-// spillEligibleLocked counts blocks a real worker would consider for
-// spilling to disk: everything in the store, once the held bytes exceed
-// the configured threshold (the simulator never spills; the gauge shows
-// the pressure). Caller holds storeMu.
-func (w *worker) spillEligibleLocked() int {
-	th := w.cl.cfg.SpillThresholdBytes
-	if th <= 0 || w.memBytes <= th {
-		return 0
-	}
-	return len(w.store)
 }
 
 // get returns a stored value without touching governance state (no LRU
@@ -439,7 +421,6 @@ func (w *worker) fetch(id taskID, at vtime.Time) storeEntry {
 	mem := w.memBytes
 	w.storeMu.Unlock()
 	w.mMem.Set(float64(mem), end)
-	w.mManaged.Set(float64(mem), end)
 	return e
 }
 
@@ -455,13 +436,9 @@ func (w *worker) drop(id taskID, at vtime.Time) {
 		w.spilledBytes -= old.bytes
 		delete(w.spilled, id)
 	}
-	mem, spill := w.memBytes, w.spillEligibleLocked()
+	mem := w.memBytes
 	w.storeMu.Unlock()
 	w.mMem.Set(float64(mem), at)
-	w.mSpill.Set(float64(spill), at)
-	if w.governed() {
-		w.mManaged.Set(float64(mem), at)
-	}
 }
 
 // has reports whether the worker holds an entry in either tier.
@@ -540,7 +517,7 @@ func (w *worker) pausedAt(at vtime.Time) bool {
 	eff := w.effectiveLimitLocked(at)
 	mem := w.memBytes
 	w.storeMu.RUnlock()
-	return eff > 0 && float64(mem) >= w.cl.cfg.highWatermark()*float64(eff)
+	return eff > 0 && float64(mem) >= highWatermark*float64(eff)
 }
 
 // memAudit snapshots the ledger for the invariant auditor: both

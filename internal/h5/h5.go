@@ -123,9 +123,6 @@ func (f *File) flushMeta(at vtime.Time) vtime.Time {
 	return end
 }
 
-// Path returns the container path.
-func (f *File) Path() string { return f.path }
-
 // Datasets lists dataset names in lexical order.
 func (f *File) Datasets() []string {
 	f.mu.Lock()

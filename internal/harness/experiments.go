@@ -511,11 +511,10 @@ func Fig4b(o Options) (*Table, error) {
 // Fig5Run is one panel of Figure 5: per-rank mean and std of the
 // communication time for one system and one run (allocation).
 type Fig5Run struct {
-	System   System
-	Run      int
-	Mean     []float64 // per rank
-	Std      []float64 // per rank
-	Switches int       // leaf switches spanned by the allocation
+	System System
+	Run    int
+	Mean   []float64 // per rank
+	Std    []float64 // per rank
 }
 
 // Fig5 reproduces Figure 5 (Experiment II): per-rank communication-time

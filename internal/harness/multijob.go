@@ -39,16 +39,12 @@ type JobSpec struct {
 	Ranks      int
 	Timesteps  int
 	BlockBytes int64
-	// MemEstimate is the managed-memory estimate the job declares at
-	// admission; 0 computes Ranks·Timesteps·BlockBytes (the job's whole
-	// scatter footprint, the worst case with nothing yet released).
-	MemEstimate int64
 }
 
+// estimate is the managed-memory estimate the job declares at
+// admission: Ranks·Timesteps·BlockBytes, the job's whole scatter
+// footprint (the worst case, with nothing yet released).
 func (j *JobSpec) estimate() int64 {
-	if j.MemEstimate > 0 {
-		return j.MemEstimate
-	}
 	return int64(j.Ranks) * int64(j.Timesteps) * j.BlockBytes
 }
 

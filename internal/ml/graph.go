@@ -58,57 +58,25 @@ type ChainResult struct {
 	ExplainedVariance taskgraph.Key
 }
 
-// ChainOptions configures BuildIPCAChainOpts.
-type ChainOptions struct {
-	// NComponents is the number of extracted components.
-	NComponents int
-	// BatchRows and Features are the modelled batch dimensions used by
-	// the cost model (they may exceed the real array sizes when the
-	// harness models paper-scale data over small arrays).
-	BatchRows, Features int
-	// CostFn maps (n, f, k) to a partial_fit cost in virtual seconds;
-	// nil selects RandomizedSVDCost (the paper's svd_solver).
-	CostFn func(n, f, k int) float64
-	// StateBytes overrides the modelled wire size of each chain state;
-	// 0 derives it from NComponents and Features.
-	StateBytes int64
-}
-
 // BuildIPCAChain adds the partial_fit chain over the given batch keys
 // (each producing a samples×features *ndarray.Array) to g. initial may
 // name a state key produced elsewhere (for resuming a chain across
 // per-step submissions, as the old IPCA does); if empty, a fresh
 // estimator with nComponents is created in-graph. batchRows and features
-// size the cost model.
+// size the cost model (RandomizedSVDCost, the paper's svd_solver); they
+// may exceed the real array sizes when the harness models paper-scale
+// data over small arrays.
 func BuildIPCAChain(g *taskgraph.Graph, name string, batchKeys []taskgraph.Key,
 	initial taskgraph.Key, nComponents, batchRows, features int) ChainResult {
-	return BuildIPCAChainOpts(g, name, batchKeys, initial, ChainOptions{
-		NComponents: nComponents,
-		BatchRows:   batchRows,
-		Features:    features,
-	})
-}
-
-// BuildIPCAChainOpts is BuildIPCAChain with an explicit cost model.
-func BuildIPCAChainOpts(g *taskgraph.Graph, name string, batchKeys []taskgraph.Key,
-	initial taskgraph.Key, opts ChainOptions) ChainResult {
 	if len(batchKeys) == 0 {
 		panic("ml: BuildIPCAChain needs at least one batch")
 	}
-	nComponents := opts.NComponents
-	costFn := opts.CostFn
-	if costFn == nil {
-		costFn = RandomizedSVDCost
-	}
-	stateBytes := opts.StateBytes
-	if stateBytes <= 0 {
-		stateBytes = int64(nComponents*opts.Features+3*opts.Features)*8 + 64
-	}
+	stateBytes := int64(nComponents*features+3*features)*8 + 64
 	prev := initial
 	res := ChainResult{}
 	for i, bk := range batchKeys {
 		stateKey := taskgraph.Key(fmt.Sprintf("%s-state-%d", name, i))
-		cost := vtime.Dur(costFn(opts.BatchRows, opts.Features, nComponents))
+		cost := vtime.Dur(RandomizedSVDCost(batchRows, features, nComponents))
 		var task *taskgraph.Task
 		if prev == "" {
 			k := nComponents

@@ -7,11 +7,11 @@ import (
 	"deisago/internal/ndarray"
 )
 
-// TestPCADeterminismAcrossKernelWorkers runs the full PCA and IPCA
+// TestPCADeterminismAcrossWorkerCounts runs the full PCA and IPCA
 // pipelines under kernel worker counts {1, 2, 8} and demands bit-equal
 // components, the end-to-end form of the DESIGN §6 invariant: real-core
 // parallelism inside task bodies must never change figure inputs.
-func TestPCADeterminismAcrossKernelWorkers(t *testing.T) {
+func TestPCADeterminismAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	x := ndarray.New(120, 40)
 	d := x.Data()
@@ -31,13 +31,13 @@ func TestPCADeterminismAcrossKernelWorkers(t *testing.T) {
 		return p.Components, ip.Components
 	}
 
-	prev := SetKernelWorkers(1)
+	prev := ndarray.SetWorkers(1)
 	wantP, wantIP := fitBoth()
-	SetKernelWorkers(prev)
+	ndarray.SetWorkers(prev)
 	for _, w := range []int{2, 8} {
-		prev := SetKernelWorkers(w)
+		prev := ndarray.SetWorkers(w)
 		gotP, gotIP := fitBoth()
-		SetKernelWorkers(prev)
+		ndarray.SetWorkers(prev)
 		if !ndarray.Equal(wantP, gotP) {
 			t.Fatalf("PCA components differ with %d kernel workers", w)
 		}

@@ -1,11 +1,15 @@
 #!/usr/bin/env sh
-# Pre-PR gate: formatting, vet, full tests, a race-detector pass over
-# the packages with parallel kernels or concurrent runtime machinery
-# (with the scheduler invariant auditor on and a fixed chaos seed), and
-# short fuzz smokes of the scheduler auditor and the worker memory
-# governor, the schedule-space and multi-tenant gates, and the
-# benchmark's own tests (bench/ is a module of its own; run the
-# benchmark itself with `bash bench/run.sh`, see BENCHMARK.json).
+# Pre-PR gate: formatting, vet, full tests with coverage (which also
+# run the Example functions, the golden snapshots, and the schedule-space
+# and multi-tenant explorers), a race-detector pass over the packages
+# with parallel kernels or concurrent runtime machinery (with the
+# scheduler invariant auditor on and a fixed chaos seed), the CLI chaos
+# acceptance run, short fuzz smokes of the scheduler auditor and the
+# worker memory governor, the planted-mutant self-test of the
+# schedule-space oracle, and the benchmark's own tests (bench/ is a
+# module of its own; run the benchmark itself with `bash bench/run.sh`,
+# see BENCHMARK.json). Each stage after the coverage pass differs from
+# it in flags, build tags or environment.
 # Usage: ./scripts/check.sh
 set -eu
 
@@ -83,9 +87,6 @@ DEISA_AUDIT=1 go test -race \
 echo "== chaos acceptance (fixed seed, auditor on) =="
 DEISA_AUDIT=1 go run ./cmd/experiments -quick -chaos-seed 7
 
-echo "== golden metrics snapshots (fixed seed) =="
-go test -count=1 -run 'TestGolden' ./internal/harness
-
 echo "== fuzz smoke: scheduler auditor =="
 go test -fuzz=FuzzSchedulerAudit -fuzztime=5s -run '^$' ./internal/dask
 
@@ -95,16 +96,11 @@ echo "== fuzz smoke: memory governance =="
 # any ledger drift, tier overlap, or pinned-block spill.
 go test -fuzz=FuzzMemoryGovernance -fuzztime=5s -run '^$' ./internal/dask
 
-echo "== simtest schedule-space gate =="
-# Explore K=16 permuted tie-break schedules of the acceptance pipeline
-# (plus a chaos sweep under kill/drop/delay and a memlimit squeeze):
-# every legal schedule must produce a bit-identical analytics
-# fingerprint, a silent auditor, and an audit log the pure reference
-# model accepts. Then the self-test: the production build sweeps clean,
+echo "== simtest planted-mutant self-test =="
+# The coverage pass already swept the production build's permuted
+# tie-break schedules (TestExploreSchedulesIdentical and friends). Here
 # the -tags daskmutant build plants a scheduler fault the explorer must
 # catch and the shrinker must reduce to a one-line DSL reproducer.
-go test -count=1 -run 'TestExploreSchedulesIdentical|TestExploreChaosSchedulesIdentical' ./internal/simtest
-go test -count=1 -run 'TestMutantCaughtAndShrunk' ./internal/simtest
 go test -tags daskmutant -count=1 -run 'TestMutantCaughtAndShrunk' ./internal/simtest
 
 echo "== harness parallel-determinism gate (-race) =="
@@ -114,14 +110,6 @@ echo "== harness parallel-determinism gate (-race) =="
 # detector.
 go test -race -count=1 -run 'TestSweepParallelDeterminism|TestChaosParallelDeterminism|TestRunPool' \
     ./internal/harness
-
-echo "== multi-tenant control-plane gate =="
-# Concurrent tenant pipelines on one shared platform. The simtest multi
-# explorer sweeps seeded schedules of a mixed workload (fault-free and
-# under a killjob cancellation) and requires bit-identical per-tenant
-# fingerprints plus a clean reference-model replay of the shared
-# scheduler's interleaved transition log.
-go test -count=1 -run 'TestExploreMulti|TestMultiOverrideReplayMatchesSeededRun' ./internal/simtest
 
 echo "== benchmark module tests =="
 (cd bench && go test ./...)
