@@ -29,6 +29,7 @@ import (
 	"deisago/internal/chaos"
 	"deisago/internal/dask"
 	"deisago/internal/harness"
+	"deisago/internal/metrics"
 )
 
 // errUsage reports a command line that does not parse or selects
@@ -277,7 +278,7 @@ func runSingle(stdout io.Writer, cfg harness.Config, trace, metricsOut string, p
 	if trace != "" {
 		// Gauge series ride along as counter tracks under the task stream.
 		if err := writeFile(trace, func(w io.Writer) error {
-			return dask.WriteChromeTraceWithMetrics(w, res.Trace, res.Metrics)
+			return dask.WriteChromeTrace(w, res.Trace, res.Metrics)
 		}); err != nil {
 			return err
 		}
@@ -396,10 +397,6 @@ func runMultiJob(stdout io.Writer, opts harness.Options, n int, weightsCSV strin
 	fmt.Fprintf(stdout, "Multi-tenant run: %d jobs, %d workers, seed %d\n", n, cfg.Workers, cfg.Seed)
 	fmt.Fprintf(stdout, "%-8s %6s %6s %6s %6s %8s %7s %10s %8s  %s\n",
 		"tenant", "weight", "ranks", "steps", "sent", "skipped", "killed", "analytics", "share", "fingerprint")
-	tenantShare := map[string]float64{}
-	for _, ts := range res.Tenants {
-		tenantShare[ts.Name] = ts.Share
-	}
 	for i, j := range res.Jobs {
 		killed := "-"
 		if j.Killed {
@@ -408,7 +405,8 @@ func runMultiJob(stdout io.Writer, opts harness.Options, n int, weightsCSV strin
 		fmt.Fprintf(stdout, "%-8s %6g %6d %6d %6d %8d %7s %9.4fs %7.1f%%  %s\n",
 			j.Name, j.Weight, specs[i].Ranks, specs[i].Timesteps,
 			j.BlocksSent, j.BlocksSkipped, killed, j.AnalyticsTime,
-			100*tenantShare[j.Name], j.Fingerprint[:16])
+			100*res.Metrics.Gauge(metrics.ID("scheduler", "tenant_share", metrics.L("tenant", j.Name))),
+			j.Fingerprint[:16])
 	}
 	fmt.Fprintf(stdout, "jain=%.4f admitted=%d max_queue=%d makespan=%.4fs\n",
 		res.Jain, res.Admission.Admitted, res.Admission.MaxQueue, res.Makespan)

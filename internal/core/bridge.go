@@ -88,11 +88,6 @@ type Bridge struct {
 	contract *Contract
 	ready    bool
 
-	blocksSent    int64
-	blocksSkipped int64
-	retries       int64
-	republished   int64
-
 	// Registry handles (component "bridge", labeled by rank).
 	mShipped      *metrics.Counter // blocks accepted and sent
 	mFiltered     *metrics.Counter // blocks skipped by the contract filter
@@ -270,7 +265,6 @@ func (b *Bridge) Publish(arrayName string, pos []int, data *ndarray.Array, at vt
 	switch b.cfg.Mode {
 	case ModeExternal:
 		if !b.contract.WantsBlock(arrayName, pos, va.TimeDim) {
-			b.blocksSkipped++
 			b.mFiltered.Inc()
 			b.client.HeartbeatTick()
 			return b.client.Now(), false, nil
@@ -308,7 +302,6 @@ func (b *Bridge) Publish(arrayName string, pos []int, data *ndarray.Array, at vt
 	default:
 		return at, false, fmt.Errorf("core: unknown mode %d", b.cfg.Mode)
 	}
-	b.blocksSent++
 	b.mShipped.Inc()
 	b.client.HeartbeatTick()
 	return b.client.Now(), true, nil
@@ -338,7 +331,6 @@ func (b *Bridge) scatterExternal(key taskgraph.Key, data *ndarray.Array, step, w
 			}
 			b.client.Compute(backoff)
 			backoff *= 2
-			b.retries++
 			b.mRetries.Inc()
 		}
 		target := worker
@@ -440,22 +432,24 @@ func (b *Bridge) RepublishLost(at vtime.Time) (int, error) {
 		if err := b.scatterExternal(key, pb.data, step, worker); err != nil {
 			return n, fmt.Errorf("core: republish of %q: %w", key, err)
 		}
-		b.republished++
 		b.mRepublished.Inc()
 		n++
 	}
 	return n, nil
 }
 
-// Stats returns how many blocks were sent and skipped (contract filter).
+// Stats returns how many blocks were sent and skipped (contract filter),
+// read from the bridge's registry series. Bridges with the same (rank,
+// namespace) on one cluster share one series, so a bridge re-created
+// after a failure reports the totals of every incarnation.
 func (b *Bridge) Stats() (sent, skipped int64) {
-	return b.blocksSent, b.blocksSkipped
+	return b.mShipped.Load(), b.mFiltered.Load()
 }
 
 // RetryStats returns how many publish attempts were retried and how many
-// lost blocks were republished.
+// lost blocks were republished, from the same shared series as Stats.
 func (b *Bridge) RetryStats() (retries, republished int64) {
-	return b.retries, b.republished
+	return b.mRetries.Load(), b.mRepublished.Load()
 }
 
 // Node returns the bridge's fabric node.

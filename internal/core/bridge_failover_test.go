@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deisago/internal/dask"
+	"deisago/internal/metrics"
 	"deisago/internal/ndarray"
 	"deisago/internal/taskgraph"
 )
@@ -105,12 +106,10 @@ func TestFailoverSkipsPausedWorker(t *testing.T) {
 		t.Fatalf("sum = %v, want 8", got)
 	}
 
-	stats := cluster.WorkerStatsAll()
-	if stats[1].StoreItems != 1 || stats[1].StoreBytes != 32 {
-		t.Fatalf("paused worker 1 absorbed the failover: %d items / %d bytes, want only its 32-byte ballast",
-			stats[1].StoreItems, stats[1].StoreBytes)
+	if got := workerMemory(cluster, 1); got != 32 {
+		t.Fatalf("paused worker 1 absorbed the failover: %v resident bytes, want only its 32-byte ballast", got)
 	}
-	if stats[2].StoreItems == 0 {
+	if workerMemory(cluster, 2) == 0 {
 		t.Fatal("worker 2 holds nothing; the failover did not land there")
 	}
 }
@@ -240,7 +239,13 @@ func TestRepublishLostToPausedReplacement(t *testing.T) {
 	}
 	// The refused attempt spilled the ballast trying to make room; the
 	// republished block itself is resident after the window closed.
-	if st := cluster.WorkerStatsAll()[1]; st.StoreBytes < 32 {
-		t.Fatalf("worker 1 holds %d resident bytes, want >= 32 (republished block)", st.StoreBytes)
+	if got := workerMemory(cluster, 1); got < 32 {
+		t.Fatalf("worker 1 holds %v resident bytes, want >= 32 (republished block)", got)
 	}
+}
+
+// workerMemory reads a worker's resident object-store bytes from its
+// worker/memory_bytes gauge.
+func workerMemory(c *dask.Cluster, id int) float64 {
+	return c.Metrics().Gauge("worker", "memory_bytes", metrics.LInt("id", id)).Value()
 }

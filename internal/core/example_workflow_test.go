@@ -16,7 +16,6 @@ import (
 
 // deployment is one small in transit run after it finished.
 type deployment struct {
-	fabric  *netsim.Fabric
 	cluster *dask.Cluster
 	bridges []*core.Bridge // indexed by rank
 	values  []any          // the gathered analytics targets
@@ -39,8 +38,9 @@ func couple(ranks, steps int, vas []*core.VirtualArray,
 	fabric := netsim.New(netsim.DefaultConfig(), 4+(ranks+1)/2)
 	cluster := dask.NewCluster(fabric, dask.DefaultConfig(), 0, []netsim.NodeID{2, 3})
 	defer cluster.Close()
+	fabric.UseMetrics(cluster.Metrics())
 
-	dep := &deployment{fabric: fabric, cluster: cluster, bridges: make([]*core.Bridge, ranks)}
+	dep := &deployment{cluster: cluster, bridges: make([]*core.Bridge, ranks)}
 	for r := range dep.bridges {
 		dep.bridges[r] = core.NewBridge(core.BridgeConfig{
 			Rank: r, Cluster: cluster, Node: netsim.NodeID(4 + r/2),
@@ -183,7 +183,7 @@ func Example_contracts() {
 			sent += s
 			skipped += k
 		}
-		_, bytes = run.fabric.Transfers()
+		bytes = run.cluster.Metrics().Snapshot().SumCounters("fabric/bytes{")
 		return sent, skipped, run.values[0].(float64), bytes
 	}
 

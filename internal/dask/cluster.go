@@ -39,15 +39,10 @@ func NewCluster(fabric *netsim.Fabric, cfg Config, schedNode netsim.NodeID, work
 	if c.reg == nil {
 		c.reg = metrics.NewRegistry()
 	}
-	c.spill = cfg.SpillFS
-	if c.spill == nil {
-		// Private spill tier so governance works out of the box. It is
-		// deliberately not attached to the metrics registry: the
-		// memory/spilled_bytes counter already accounts spill traffic,
-		// and a harness that wants pfs-level instruments passes its own
-		// SpillFS.
-		c.spill = pfs.New(pfs.DefaultConfig())
-	}
+	// The spill tier is private to the cluster and deliberately not
+	// attached to the metrics registry: the memory/spilled_bytes counter
+	// already accounts spill traffic.
+	c.spill = pfs.New(pfs.DefaultConfig())
 	c.sched = newScheduler(c)
 	if auditEnvEnabled() {
 		c.sched.audit = &auditor{released: map[taskID]bool{}}
@@ -74,27 +69,10 @@ func (c *Cluster) NumWorkers() int { return len(c.workers) }
 // SchedulerNode returns the scheduler's fabric node.
 func (c *Cluster) SchedulerNode() netsim.NodeID { return c.schedNode }
 
-// TaskStates returns the number of scheduler tasks in each state — the
-// information a Dask dashboard's task-stream panel summarizes.
-func (c *Cluster) TaskStates() map[State]int { return c.sched.stateCounts() }
-
 // TaskState reports the scheduler state of one key, and whether the key
 // is registered at all. Producers use it to detect external data lost
 // with a worker (the key reverts to StateExternal) and republish.
 func (c *Cluster) TaskState(key taskgraph.Key) (State, bool) { return c.sched.taskState(key) }
-
-// WorkerStatsAll snapshots every worker's monitoring stats.
-func (c *Cluster) WorkerStatsAll() []WorkerStats {
-	out := make([]WorkerStats, len(c.workers))
-	for i, w := range c.workers {
-		out[i] = w.stats()
-	}
-	return out
-}
-
-// SchedulerBusy returns the scheduler CPU's accumulated virtual service
-// time — the overload signal behind the paper's DEISA1 analysis.
-func (c *Cluster) SchedulerBusy() float64 { return c.sched.cpu.Busy() }
 
 // Metrics returns the cluster's metrics registry (never nil).
 func (c *Cluster) Metrics() *metrics.Registry { return c.reg }

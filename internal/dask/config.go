@@ -16,7 +16,6 @@ package dask
 
 import (
 	"deisago/internal/metrics"
-	"deisago/internal/pfs"
 	"deisago/internal/vtime"
 )
 
@@ -52,16 +51,13 @@ type Config struct {
 	// WorkerMemoryLimit is the per-worker managed-memory limit in bytes.
 	// When positive, every stored block is accounted in the worker's
 	// ledger and the least-recently-used non-external blocks are spilled
-	// to the spill tier (SpillFS) whenever the ledger exceeds the limit;
-	// spilled blocks are transparently read back on dependency gather.
+	// to the cluster's private spill tier (a pfs.FS with
+	// pfs.DefaultConfig; spill writes and unspill reads charge virtual-time
+	// I/O there, block values stay in host memory) whenever the ledger
+	// exceeds the limit; spilled blocks are transparently read back on
+	// dependency gather.
 	// 0 disables governance entirely (the zero-cost fast path).
 	WorkerMemoryLimit int64
-	// SpillFS is the parallel file system blocks spill to. Spill writes
-	// and unspill reads charge virtual-time I/O costs there (block values
-	// stay in host memory; only costs are modelled). nil makes the
-	// cluster create a private pfs.FS with pfs.DefaultConfig() so
-	// governance works out of the box.
-	SpillFS *pfs.FS
 	// TieBreak, when non-nil, redirects the scheduler's benign tie-break
 	// choices (ready-heap pop order, worker choice, spill victim) so the
 	// schedule-space explorer (package simtest) can permute legal

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"deisago/internal/metrics"
 	"deisago/internal/netsim"
 	"deisago/internal/taskgraph"
 )
@@ -60,6 +61,29 @@ func checkLedger(t *testing.T, c *Cluster, limit int64) {
 	}
 }
 
+// storeView is one worker's object store by tier, read from the store
+// itself (the registry holds only the resident-bytes gauge).
+type storeView struct {
+	items, spilledItems int
+	bytes, spilledBytes int64
+}
+
+func workerStore(c *Cluster, id int) storeView {
+	w := c.workers[id]
+	w.storeMu.RLock()
+	defer w.storeMu.RUnlock()
+	v := storeView{items: len(w.store), spilledItems: len(w.spilled), spilledBytes: w.spilledBytes}
+	for _, e := range w.store {
+		v.bytes += e.bytes
+	}
+	return v
+}
+
+// tasksExecuted reads a worker's worker/tasks_executed counter.
+func tasksExecuted(c *Cluster, id int) int64 {
+	return c.Metrics().Counter("worker", "tasks_executed", metrics.LInt("id", id)).Load()
+}
+
 func TestSpillAndUnspillRoundTrip(t *testing.T) {
 	const limit = 64 // two 32-byte blocks
 	c, cl := testClusterMem(1, limit)
@@ -77,12 +101,12 @@ func TestSpillAndUnspillRoundTrip(t *testing.T) {
 		}
 		checkLedger(t, c, limit)
 	}
-	st := c.WorkerStatsAll()[0]
-	if st.StoreBytes > limit {
-		t.Fatalf("resident %d bytes exceeds limit %d", st.StoreBytes, limit)
+	st := workerStore(c, 0)
+	if st.bytes > limit {
+		t.Fatalf("resident %d bytes exceeds limit %d", st.bytes, limit)
 	}
-	if st.SpilledItems != 1 || st.SpilledBytes != 32 {
-		t.Fatalf("want 1 spilled block of 32 bytes, got %d of %d", st.SpilledItems, st.SpilledBytes)
+	if st.spilledItems != 1 || st.spilledBytes != 32 {
+		t.Fatalf("want 1 spilled block of 32 bytes, got %d of %d", st.spilledItems, st.spilledBytes)
 	}
 	// "a" was the least recently used, so it is the one on the PFS.
 	ida := c.sched.intern("a")
@@ -184,7 +208,7 @@ func TestScatterBackpressureWindow(t *testing.T) {
 	if err := cl.Scatter([]ScatterItem{{Key: "x", Value: []float64{1, 2, 3, 4}}}, false, 0); err != nil {
 		t.Fatalf("scatter after window: %v", err)
 	}
-	if got := c.WorkerStatsAll()[0].StoreBytes; got != 32 {
+	if got := workerStore(c, 0).bytes; got != 32 {
 		t.Fatalf("resident bytes = %d, want 32", got)
 	}
 }
@@ -202,9 +226,9 @@ func TestOversizeSingleBlockGrant(t *testing.T) {
 	if err := cl.Scatter([]ScatterItem{{Key: "big", Value: big}}, false, 0); err != nil {
 		t.Fatalf("oversize scatter: %v", err)
 	}
-	st := c.WorkerStatsAll()[0]
-	if st.StoreBytes != 128 || st.SpilledItems != 0 {
-		t.Fatalf("want 128 resident / 0 spilled, got %d / %d", st.StoreBytes, st.SpilledItems)
+	st := workerStore(c, 0)
+	if st.bytes != 128 || st.spilledItems != 0 {
+		t.Fatalf("want 128 resident / 0 spilled, got %d / %d", st.bytes, st.spilledItems)
 	}
 	checkLedger(t, c, limit)
 }
@@ -226,9 +250,9 @@ func TestExternalBlocksArePinned(t *testing.T) {
 		}
 	}
 	// 96 pinned bytes sit over the 64-byte limit and none may spill.
-	st := c.WorkerStatsAll()[0]
-	if st.StoreBytes != 96 || st.SpilledItems != 0 {
-		t.Fatalf("want 96 resident / 0 spilled, got %d / %d", st.StoreBytes, st.SpilledItems)
+	st := workerStore(c, 0)
+	if st.bytes != 96 || st.spilledItems != 0 {
+		t.Fatalf("want 96 resident / 0 spilled, got %d / %d", st.bytes, st.spilledItems)
 	}
 	checkLedger(t, c, limit)
 
@@ -240,9 +264,9 @@ func TestExternalBlocksArePinned(t *testing.T) {
 	if err := cl.Scatter([]ScatterItem{{Key: "p2", Value: []float64{5, 6, 7, 8}}}, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	st = c.WorkerStatsAll()[0]
-	if st.SpilledItems != 1 {
-		t.Fatalf("want the older plain block spilled, got %d spilled", st.SpilledItems)
+	st = workerStore(c, 0)
+	if st.spilledItems != 1 {
+		t.Fatalf("want the older plain block spilled, got %d spilled", st.spilledItems)
 	}
 	checkLedger(t, c, limit)
 }
@@ -283,12 +307,11 @@ func TestSchedulerSkipsPausedWorker(t *testing.T) {
 	if err := cl.Wait(futs); err != nil {
 		t.Fatal(err)
 	}
-	stats := c.WorkerStatsAll()
-	if stats[0].Executed != 0 {
-		t.Fatalf("paused worker 0 executed %d tasks, want 0", stats[0].Executed)
+	if n := tasksExecuted(c, 0); n != 0 {
+		t.Fatalf("paused worker 0 executed %d tasks, want 0", n)
 	}
-	if stats[1].Executed != int64(len(targets)) {
-		t.Fatalf("worker 1 executed %d tasks, want %d", stats[1].Executed, len(targets))
+	if n := tasksExecuted(c, 1); n != int64(len(targets)) {
+		t.Fatalf("worker 1 executed %d tasks, want %d", n, len(targets))
 	}
 }
 
@@ -543,10 +566,10 @@ func TestGatherWindowClosesMidGather(t *testing.T) {
 			t.Fatalf("gather a: element %d = %v, want %v", i, vals[0].([]float64)[i], want)
 		}
 	}
-	st := c.WorkerStatsAll()[0]
-	if st.StoreBytes != 32 || st.SpilledItems != 2 {
+	st := workerStore(c, 0)
+	if st.bytes != 32 || st.spilledItems != 2 {
 		t.Fatalf("under squeeze: want 32 resident / 2 spilled, got %d / %d",
-			st.StoreBytes, st.SpilledItems)
+			st.bytes, st.spilledItems)
 	}
 	checkLedger(t, c, limit)
 
@@ -562,10 +585,10 @@ func TestGatherWindowClosesMidGather(t *testing.T) {
 			t.Fatalf("gather b: element %d = %v, want %v", i, vals[0].([]float64)[i], want)
 		}
 	}
-	st = c.WorkerStatsAll()[0]
-	if st.StoreBytes != 64 || st.SpilledItems != 1 {
+	st = workerStore(c, 0)
+	if st.bytes != 64 || st.spilledItems != 1 {
 		t.Fatalf("after window: want 64 resident / 1 spilled, got %d / %d",
-			st.StoreBytes, st.SpilledItems)
+			st.bytes, st.spilledItems)
 	}
 	checkLedger(t, c, limit)
 
@@ -580,10 +603,10 @@ func TestGatherWindowClosesMidGather(t *testing.T) {
 			t.Fatalf("gather c: element %d = %v, want %v", i, vals[0].([]float64)[i], want)
 		}
 	}
-	st = c.WorkerStatsAll()[0]
-	if st.StoreBytes != 64 || st.SpilledItems != 1 {
+	st = workerStore(c, 0)
+	if st.bytes != 64 || st.spilledItems != 1 {
 		t.Fatalf("final: want 64 resident / 1 spilled, got %d / %d",
-			st.StoreBytes, st.SpilledItems)
+			st.bytes, st.spilledItems)
 	}
 	ida := c.sched.intern("a")
 	if _, resident := c.workers[0].store[ida]; resident {

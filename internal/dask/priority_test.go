@@ -64,13 +64,13 @@ func TestReleaseFreesMemory(t *testing.T) {
 	if err := cl.Wait(futs); err != nil {
 		t.Fatal(err)
 	}
-	if items := c.WorkerStatsAll()[0].StoreItems; items != 1 {
+	if items := workerStore(c, 0).items; items != 1 {
 		t.Fatalf("store items before release = %d", items)
 	}
 	if err := cl.Release(futs); err != nil {
 		t.Fatal(err)
 	}
-	if items := c.WorkerStatsAll()[0].StoreItems; items != 0 {
+	if items := workerStore(c, 0).items; items != 0 {
 		t.Fatalf("store items after release = %d", items)
 	}
 	if _, ok := c.sched.taskState("r"); ok {

@@ -413,7 +413,7 @@ func TestResilienceSweepWorkers(t *testing.T) {
 
 func TestKillWorkerAbortsTraceSpan(t *testing.T) {
 	// A kill mid-task must close the in-flight span as aborted (end
-	// clamped to the kill time) so ExportChromeTrace stays well-formed,
+	// clamped to the kill time) so WriteChromeTrace stays well-formed,
 	// and the recompute gets its own normal span.
 	c, cl := testCluster(t, 2)
 	c.EnableTracing()
@@ -482,7 +482,7 @@ func TestKillWorkerAbortsTraceSpan(t *testing.T) {
 		t.Fatalf("completed victim spans = %d, want 1", completed)
 	}
 	var buf bytes.Buffer
-	if err := c.ExportChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, c.TraceEvents(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]any

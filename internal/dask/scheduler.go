@@ -961,21 +961,6 @@ func (s *scheduler) locate(key taskgraph.Key) (workerID int, id taskID, bytes in
 	return st.worker, st.id, st.bytes, st.readyAt, nil
 }
 
-// stateCounts tallies tasks by state for monitoring, served from the
-// batched per-state counts kept by the transition recorder (no task
-// table scan).
-func (s *scheduler) stateCounts() map[State]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := map[State]int{}
-	for st, n := range s.nByState {
-		if n != 0 {
-			out[State(st)] = n
-		}
-	}
-	return out
-}
-
 // taskState returns the state of a key for tests and monitoring.
 func (s *scheduler) taskState(key taskgraph.Key) (State, bool) {
 	s.mu.Lock()

@@ -66,19 +66,29 @@ func tenantLabel(name string) string {
 	return name
 }
 
-// RegisterTenant declares a tenant with the given fair-share weight.
-// Keys prefixed "<name>/" submitted, scattered, or created after this
-// call are attributed to the tenant; its share of ready-queue service
-// is weight-proportional against the other backlogged tenants,
-// including the catch-all default tenant (weight 1) that owns every
-// other key. "default" names that tenant and is reserved. Call before
-// submitting the tenant's work.
-func (c *Cluster) RegisterTenant(name string, weight float64) error {
+// ValidateTenant checks a tenant's name and fair-share weight: the name
+// is non-empty, has no '/', and is not "default", which names the
+// catch-all tenant; the weight is positive.
+func ValidateTenant(name string, weight float64) error {
 	if name == "" || name == tenantLabel("") || strings.ContainsRune(name, '/') {
 		return fmt.Errorf("dask: invalid tenant name %q (non-empty, not %q, no '/')", name, tenantLabel(""))
 	}
 	if weight <= 0 {
 		return fmt.Errorf("dask: tenant %q needs a positive weight, got %g", name, weight)
+	}
+	return nil
+}
+
+// RegisterTenant declares a tenant with the given fair-share weight.
+// Keys prefixed "<name>/" submitted, scattered, or created after this
+// call are attributed to the tenant; its share of ready-queue service
+// is weight-proportional against the other backlogged tenants,
+// including the catch-all default tenant (weight 1) that owns every
+// other key. The name and weight must pass ValidateTenant. Call before
+// submitting the tenant's work.
+func (c *Cluster) RegisterTenant(name string, weight float64) error {
+	if err := ValidateTenant(name, weight); err != nil {
+		return err
 	}
 	s := c.sched
 	s.mu.Lock()
@@ -187,50 +197,11 @@ func (s *scheduler) flushTenantGaugesLocked() {
 	s.jainG.Set(s.jainLocked(), s.opAt)
 }
 
-// TenantStats is one tenant's service snapshot.
-type TenantStats struct {
-	Name          string  // label name ("default" for the catch-all)
-	Weight        float64 // fair-share weight
-	Pops          int64   // ready-queue pops served
-	Share         float64 // fraction of total pops
-	ResidentBytes int64   // bytes of the tenant's results in memory
-}
-
-// TenantStatsAll snapshots every tenant in registration order (the
-// default tenant first). Nil when no named tenant is registered.
-func (c *Cluster) TenantStatsAll() []TenantStats {
-	s := c.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tenantIdx == nil {
-		return nil
-	}
-	out := make([]TenantStats, 0, len(s.tenantIdx)+1)
-	for _, t := range s.tenants {
-		share := 0.0
-		if s.totalPops > 0 {
-			share = float64(t.pops) / float64(s.totalPops)
-		}
-		out = append(out, TenantStats{
-			Name: tenantLabel(t.name), Weight: t.weight, Pops: t.pops,
-			Share: share, ResidentBytes: t.resBytes,
-		})
-	}
-	return out
-}
-
-// JainFairness returns Jain's fairness index over the tenants'
+// jainLocked returns Jain's fairness index over the tenants'
 // weight-normalized service (pops/weight): 1.0 means every tenant got
 // an exactly weight-proportional share; 1/n means one tenant got
 // everything. Tenants that were never served are excluded. Returns 1
 // when at most one tenant has been served.
-func (c *Cluster) JainFairness() float64 {
-	s := c.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jainLocked()
-}
-
 func (s *scheduler) jainLocked() float64 {
 	var sumX, sumX2 float64
 	n := 0

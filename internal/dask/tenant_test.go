@@ -13,6 +13,27 @@ import (
 	"deisago/internal/taskgraph"
 )
 
+func TestValidateTenant(t *testing.T) {
+	cases := []struct {
+		name   string
+		weight float64
+		ok     bool
+	}{
+		{"jobA", 1, true},
+		{"j", 0.5, true},
+		{"", 1, false},
+		{"a/b", 1, false},
+		{"default", 1, false}, // reserved: names the catch-all tenant
+		{"jobA", 0, false},
+		{"jobA", -2, false},
+	}
+	for _, c := range cases {
+		if err := ValidateTenant(c.name, c.weight); (err == nil) != c.ok {
+			t.Errorf("ValidateTenant(%q, %g) = %v, want ok=%v", c.name, c.weight, err, c.ok)
+		}
+	}
+}
+
 func TestRegisterTenantValidation(t *testing.T) {
 	c, _ := testCluster(t, 1)
 	for _, bad := range []struct {
@@ -32,12 +53,19 @@ func TestRegisterTenantValidation(t *testing.T) {
 	if err := c.RegisterTenant("jobA", 1); err == nil {
 		t.Fatal("duplicate tenant accepted")
 	}
-	stats := c.TenantStatsAll()
-	if len(stats) != 2 || stats[0].Name != "default" || stats[1].Name != "jobA" {
-		t.Fatalf("stats = %+v, want [default jobA]", stats)
+	var tenants []string
+	for _, m := range c.Metrics().Snapshot().Counters {
+		if name, ok := strings.CutPrefix(m.ID, "scheduler/tenant_pops{tenant="); ok {
+			tenants = append(tenants, strings.TrimSuffix(name, "}"))
+		}
+	}
+	if fmt.Sprint(tenants) != "[default jobA]" {
+		t.Fatalf("tenant_pops series for %v, want [default jobA]", tenants)
 	}
 }
 
+// TestTenantStatsNilWithoutTenants: a cluster with no named tenant
+// exports no tenant statistics — no tenant_* or fairness_jain series.
 func TestTenantStatsNilWithoutTenants(t *testing.T) {
 	c, cl := testCluster(t, 1)
 	g := taskgraph.New()
@@ -48,12 +76,6 @@ func TestTenantStatsNilWithoutTenants(t *testing.T) {
 	}
 	if err := cl.Wait(futs); err != nil {
 		t.Fatal(err)
-	}
-	if s := c.TenantStatsAll(); s != nil {
-		t.Fatalf("untenanted cluster reports tenant stats %+v", s)
-	}
-	if j := c.JainFairness(); j != 1 {
-		t.Fatalf("untenanted Jain = %g, want 1", j)
 	}
 	// The default tenant's instruments stay unbound without a named
 	// tenant, through the end-of-run flush too: no series, gauges
@@ -231,15 +253,36 @@ func TestJainFairnessAfterContention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := c.TenantStatsAll()
-	if len(stats) != 3 {
-		t.Fatalf("want 3 tenants (default, a, b), got %+v", stats)
+	c.RecordUtilization(0) // flush the throttled fairness gauges
+	reg := c.Metrics()
+	popsA := reg.Counter("scheduler", "tenant_pops", metrics.L("tenant", "a")).Load()
+	popsB := reg.Counter("scheduler", "tenant_pops", metrics.L("tenant", "b")).Load()
+	if popsA != n || popsB != n {
+		t.Fatalf("pops = %d/%d, want %d each", popsA, popsB, n)
 	}
-	if stats[1].Pops != n || stats[2].Pops != n {
-		t.Fatalf("pops = %d/%d, want %d each", stats[1].Pops, stats[2].Pops, n)
-	}
-	if j := c.JainFairness(); math.Abs(j-1) > 1e-9 {
+	if j := reg.Gauge("scheduler", "fairness_jain").Value(); math.Abs(j-1) > 1e-9 {
 		t.Fatalf("Jain = %g, want 1 for equal service", j)
+	}
+}
+
+func TestJainKnownValues(t *testing.T) {
+	jain := func(ts ...*tenantState) float64 {
+		return (&scheduler{tenants: ts}).jainLocked()
+	}
+	if got := jain(); got != 1 {
+		t.Errorf("no tenants = %g, want 1", got)
+	}
+	// Never-served tenants are excluded: one served tenant is fair.
+	if got := jain(&tenantState{weight: 1}, &tenantState{pops: 10, weight: 1}); got != 1 {
+		t.Errorf("single served tenant = %g, want 1", got)
+	}
+	// x = {1, 3}: (4)^2 / (2 * 10) = 0.8.
+	if got := jain(&tenantState{pops: 1, weight: 1}, &tenantState{pops: 3, weight: 1}); math.Abs(got-0.8) > 1e-12 {
+		t.Errorf("{1,3} = %g, want 0.8", got)
+	}
+	// Service is weight-normalized: 3 pops at weight 3 is x = 1.
+	if got := jain(&tenantState{pops: 1, weight: 1}, &tenantState{pops: 3, weight: 3}); math.Abs(got-1) > 1e-12 {
+		t.Errorf("weight-proportional service = %g, want 1", got)
 	}
 }
 

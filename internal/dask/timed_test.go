@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"deisago/internal/metrics"
 	"deisago/internal/netsim"
 	"deisago/internal/taskgraph"
 	"deisago/internal/vtime"
@@ -85,9 +86,11 @@ func TestTaskStatesAndDone(t *testing.T) {
 	if _, err := cl.ExternalFutures([]taskgraph.Key{"ext-1", "ext-2"}); err != nil {
 		t.Fatal(err)
 	}
-	states := c.TaskStates()
-	if states[StateExternal] != 2 {
-		t.Fatalf("TaskStates = %v, want 2 external", states)
+	tasks := func(st State) float64 {
+		return c.Metrics().Gauge("scheduler", "tasks", metrics.L("state", st.String())).Value()
+	}
+	if n := tasks(StateExternal); n != 2 {
+		t.Fatalf("scheduler/tasks{state=external} = %v, want 2", n)
 	}
 	g := taskgraph.New()
 	g.AddFn("t", nil, func([]any) (any, error) { return 1.0, nil }, 1e-4)
@@ -101,9 +104,9 @@ func TestTaskStatesAndDone(t *testing.T) {
 	if !futs[0].Done() {
 		t.Fatal("completed future not Done")
 	}
-	states = c.TaskStates()
-	if states[StateMemory] != 1 || states[StateExternal] != 2 {
-		t.Fatalf("TaskStates after run = %v", states)
+	if tasks(StateMemory) != 1 || tasks(StateExternal) != 2 {
+		t.Fatalf("task gauges after run: memory %v, external %v, want 1, 2",
+			tasks(StateMemory), tasks(StateExternal))
 	}
 	ghost := &Future{Key: "ghost", client: cl}
 	if ghost.Done() {
@@ -148,19 +151,18 @@ func TestPersistKeepsResultsDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The value lives on a worker, not the client.
-	stats := c.WorkerStatsAll()
 	var items int
-	for _, w := range stats {
-		items += w.StoreItems
+	for id := range c.workers {
+		items += workerStore(c, id).items
 	}
 	if items != 1 {
 		t.Fatalf("store items = %d, want 1", items)
 	}
-	if c.SchedulerBusy() <= 0 {
+	if c.sched.cpu.Busy() <= 0 {
 		t.Fatal("scheduler busy time not recorded")
 	}
-	for _, w := range stats {
-		if w.Executed > 0 && w.BusySecs <= 0 {
+	for id, w := range c.workers {
+		if tasksExecuted(c, id) > 0 && w.cpu.Busy() <= 0 {
 			t.Fatal("executing worker has no busy time")
 		}
 	}
@@ -204,7 +206,7 @@ func TestTracing(t *testing.T) {
 		t.Fatal("erred task not marked in trace")
 	}
 	var buf strings.Builder
-	if err := c.ExportChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, c.TraceEvents(), nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -13,7 +13,7 @@ import (
 
 // Task tracing: the virtual-time equivalent of the Dask dashboard's task
 // stream. When enabled on a cluster, every task execution records a span
-// (key, worker, start/end in virtual seconds); ExportChromeTrace writes
+// (key, worker, start/end in virtual seconds); WriteChromeTrace writes
 // the spans in the Chrome trace-event format so they can be inspected in
 // chrome://tracing or Perfetto.
 
@@ -83,23 +83,14 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// ExportChromeTrace writes the recorded spans as a Chrome trace-event
-// JSON array: one complete event ("ph":"X") per task, with the worker as
-// the thread. Virtual seconds map to trace microseconds.
-func (c *Cluster) ExportChromeTrace(w io.Writer) error {
-	return WriteChromeTrace(w, c.TraceEvents())
-}
-
-// WriteChromeTrace writes spans in the Chrome trace-event format.
-func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
-	return WriteChromeTraceWithMetrics(w, events, nil)
-}
-
-// WriteChromeTraceWithMetrics writes the task spans plus, when snap is
-// non-nil, one counter track ("ph":"C") per gauge time series — worker
-// memory, scheduler queue depths, link utilization — so chrome://tracing
-// or Perfetto render them as area charts under the task stream.
-func WriteChromeTraceWithMetrics(w io.Writer, events []TraceEvent, snap *metrics.Snapshot) error {
+// WriteChromeTrace writes task spans (Cluster.TraceEvents) as a Chrome
+// trace-event JSON array: one complete event ("ph":"X") per task, with
+// the worker as the thread; virtual seconds map to trace microseconds.
+// When snap is non-nil it adds one counter track ("ph":"C") per gauge
+// time series — worker memory, scheduler queue depths, link utilization
+// — so chrome://tracing or Perfetto render them as area charts under
+// the task stream.
+func WriteChromeTrace(w io.Writer, events []TraceEvent, snap *metrics.Snapshot) error {
 	out := make([]chromeEvent, 0, len(events))
 	for _, e := range events {
 		cat := "task"

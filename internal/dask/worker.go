@@ -107,8 +107,6 @@ type worker struct {
 	// zero-cost fast path (no LRU stamps, no governance scan).
 	governedFlag atomic.Bool
 
-	executed int64
-
 	// Registry handles, created once at construction.
 	mMem      *metrics.Gauge   // object-store bytes held
 	mSpillB   *metrics.Counter // cumulative bytes spilled (cluster-wide)
@@ -614,9 +612,6 @@ func (w *worker) exec(a assignment) {
 		bytes = a.outBytes
 	}
 	w.put(a.id, value, bytes, end, false)
-	w.mu.Lock()
-	w.executed++
-	w.mu.Unlock()
 	w.mExecuted.Inc()
 	w.cl.sched.taskFinished(a.id, w.id, end, bytes, report)
 }
@@ -636,48 +631,4 @@ func (w *worker) invoke(a assignment, vals []any, start vtime.Time) (value any, 
 	}
 	value, err = a.fn(vals)
 	return value, start, err
-}
-
-// Executed returns how many tasks this worker has completed.
-func (w *worker) Executed() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.executed
-}
-
-// stats summarizes one worker for monitoring.
-func (w *worker) stats() WorkerStats {
-	w.storeMu.RLock()
-	items := len(w.store)
-	var bytes int64
-	for _, e := range w.store {
-		bytes += e.bytes
-	}
-	spItems := len(w.spilled)
-	spBytes := w.spilledBytes
-	w.storeMu.RUnlock()
-	return WorkerStats{
-		ID:           w.id,
-		Node:         w.node,
-		Executed:     w.Executed(),
-		BusySecs:     w.cpu.Busy(),
-		StoreItems:   items,
-		StoreBytes:   bytes,
-		SpilledItems: spItems,
-		SpilledBytes: spBytes,
-	}
-}
-
-// WorkerStats is a monitoring snapshot of one worker — executed task
-// count, virtual busy time, and object-store contents by tier (the
-// numbers a Dask dashboard's worker panel shows).
-type WorkerStats struct {
-	ID           int
-	Node         netsim.NodeID
-	Executed     int64
-	BusySecs     float64
-	StoreItems   int
-	StoreBytes   int64
-	SpilledItems int
-	SpilledBytes int64
 }

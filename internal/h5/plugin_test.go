@@ -3,6 +3,7 @@ package h5
 import (
 	"testing"
 
+	"deisago/internal/metrics"
 	"deisago/internal/ndarray"
 	"deisago/internal/pdi"
 	"deisago/internal/pfs"
@@ -109,6 +110,8 @@ func TestPdiPluginWritesChunks(t *testing.T) {
 
 func TestPdiPluginCostScale(t *testing.T) {
 	fsys := testFS()
+	reg := metrics.NewRegistry()
+	fsys.UseMetrics(reg)
 	sys, _ := pluginSystem(t, fsys, 0)
 	now, err := sys.Event("init", 0)
 	if err != nil {
@@ -120,7 +123,7 @@ func TestPdiPluginCostScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	// size_scale=4: the write must be charged 4× the raw bytes.
-	_, written := fsys.Traffic()
+	written := reg.Counter("pfs", "bytes", metrics.L("op", "write")).Load()
 	if written < 4*32 {
 		t.Fatalf("scaled write charged only %d bytes", written)
 	}
@@ -168,6 +171,8 @@ plugins:
 
 func TestPdiPluginShareBeforeInit(t *testing.T) {
 	fsys := testFS()
+	reg := metrics.NewRegistry()
+	fsys.UseMetrics(reg)
 	sys, _ := pluginSystem(t, fsys, 0)
 	if _, err := sys.Share("temp", ndarray.New(2, 2), 0); err == nil {
 		t.Fatal("share before init accepted")
@@ -176,6 +181,8 @@ func TestPdiPluginShareBeforeInit(t *testing.T) {
 
 func TestPdiPluginMisalignedStart(t *testing.T) {
 	fsys := testFS()
+	reg := metrics.NewRegistry()
+	fsys.UseMetrics(reg)
 	sys, _ := pluginSystem(t, fsys, 0)
 	if _, err := sys.Event("init", 0); err != nil {
 		t.Fatal(err)

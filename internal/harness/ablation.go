@@ -155,7 +155,7 @@ func AblationContract(o Options, fractions []float64) (*Table, error) {
 				return nil, err
 			}
 			sents = append(sents, float64(res.BlocksSent))
-			bytes = append(bytes, float64(res.FabricBytes)/float64(GiB))
+			bytes = append(bytes, float64(res.Metrics.SumCounters("fabric/bytes{"))/float64(GiB))
 			comms = append(comms, res.CommMean)
 		}
 		m, s := meanStd(sents)

@@ -1,10 +1,14 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"deisago/internal/chaos"
+	"deisago/internal/core"
 )
 
 // chaosAcceptancePlan returns the seed-7 plan over the acceptance
@@ -56,7 +60,7 @@ func TestChaosAcceptance(t *testing.T) {
 	if kills < 2 {
 		t.Fatalf("only %d kills executed, want >= 2: %v", kills, report.Faulty.ChaosLog)
 	}
-	if report.Faulty.Republished == 0 {
+	if report.Faulty.Metrics.SumCounters("bridge/republished{") == 0 {
 		t.Fatal("kills of publish-holding workers should force republishes")
 	}
 
@@ -148,7 +152,7 @@ func TestChaosExplicitPlanDSL(t *testing.T) {
 	if !report.Identical {
 		t.Fatalf("results diverged under %s:\n%s", plan, report.Format())
 	}
-	if report.Faulty.PublishRetries == 0 {
+	if report.Faulty.Metrics.SumCounters("bridge/retries{") == 0 {
 		t.Fatal("dropped publishes should force retries")
 	}
 }
@@ -166,5 +170,57 @@ func TestChaosRejectsDeisa1(t *testing.T) {
 	cfg.ChaosPlan = plan
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("chaos on DEISA1 accepted")
+	}
+}
+
+// withDeadline runs f and fails the test if it does not return within d.
+func withDeadline(t *testing.T, d time.Duration, what string, f func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v", what, d)
+		return nil
+	}
+}
+
+// TestDropPlanWithinRetryBudget: a drop clause that loses as many
+// publish attempts as the bridges' retry budget allows would abandon the
+// block, and the ranks and analytics would wait on it forever. Both
+// drivers reject such a plan up front, naming the event; one attempt
+// less still runs to completion.
+func TestDropPlanWithinRetryBudget(t *testing.T) {
+	budget := core.DefaultRetryPolicy().MaxAttempts
+	over := fmt.Sprintf("drop:0/1:%d", budget)
+	under := fmt.Sprintf("drop:0/1:%d", budget-1)
+	cfg := Config{System: DEISA3, Ranks: 2, Workers: 2, Timesteps: 3, BlockBytes: 1 << 20, Seed: 7}
+	mj := MultiJobConfig{Jobs: mjJobs(1), Workers: 2, Seed: 7}
+	for _, dsl := range []string{over, under} {
+		plan, err := chaos.ParsePlan(dsl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.ChaosPlan, mj.ChaosPlan = plan, plan
+		for _, run := range []struct {
+			name string
+			f    func() error
+		}{
+			{"Run", func() error { _, err := Run(cfg); return err }},
+			{"RunMultiJob", func() error { _, err := RunMultiJob(mj); return err }},
+		} {
+			err := withDeadline(t, time.Minute, run.name+" under "+dsl, run.f)
+			if dsl == under {
+				if err != nil {
+					t.Fatalf("%s under %s: %v", run.name, dsl, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), over) {
+				t.Fatalf("%s under %s: err = %v, want a rejection naming the event", run.name, dsl, err)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"deisago/internal/chaos"
+	"deisago/internal/core"
 	"deisago/internal/netsim"
 )
 
@@ -67,6 +68,24 @@ type ChaosReport struct {
 	Clean     *Result
 	Faulty    *Result
 	Identical bool // analytics outputs bit-identical across the runs
+}
+
+// checkPlan rejects a plan (nil passes) that no run survives: a drop
+// clause losing as many publish attempts as the bridges' retry budget
+// allows makes the publish give up, and the ranks and the analytics
+// would then wait forever on the lost block.
+func checkPlan(plan *chaos.Plan) error {
+	if plan == nil {
+		return nil
+	}
+	budget := core.DefaultRetryPolicy().MaxAttempts
+	for i, ev := range plan.Events {
+		if ev.Kind == chaos.KindDropPublish && ev.Count >= budget {
+			return fmt.Errorf("harness: chaos event %d (%s) drops %d publish attempts, but the retry budget is %d",
+				i, ev, ev.Count, budget)
+		}
+	}
+	return nil
 }
 
 // RunChaos executes cfg fault-free and under the plan (auditor on in
@@ -166,7 +185,7 @@ func (r *ChaosReport) Format() string {
 		fmt.Fprintf(&b, "  %s\n", e.String())
 	}
 	fmt.Fprintf(&b, "publish retries: %d, blocks republished: %d\n",
-		r.Faulty.PublishRetries, r.Faulty.Republished)
+		r.Faulty.Metrics.SumCounters("bridge/retries{"), r.Faulty.Metrics.SumCounters("bridge/republished{"))
 	verdict := "IDENTICAL"
 	if !r.Identical {
 		verdict = "DIVERGED"

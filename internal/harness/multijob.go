@@ -30,7 +30,8 @@ import (
 
 // JobSpec describes one tenant pipeline of a multi-job run.
 type JobSpec struct {
-	// Name is the tenant namespace: non-empty, unique, no '/'.
+	// Name is the tenant namespace: unique, and valid for
+	// dask.ValidateTenant (non-empty, no '/', not "default").
 	Name string
 	// Weight is the fair-share weight (default 1).
 	Weight float64
@@ -110,7 +111,7 @@ func (c *MultiJobConfig) validate() error {
 	}
 	steps := map[string]int{}
 	for _, j := range c.Jobs {
-		if err := (multijob.Tenant{Name: j.Name, Weight: j.Weight}).Validate(); err != nil {
+		if err := dask.ValidateTenant(j.Name, j.Weight); err != nil {
 			return err
 		}
 		if _, dup := steps[j.Name]; dup {
@@ -120,6 +121,9 @@ func (c *MultiJobConfig) validate() error {
 		if j.Ranks <= 0 || j.Timesteps <= 0 || j.BlockBytes <= 0 {
 			return fmt.Errorf("harness: job %q needs positive ranks, timesteps and block size", j.Name)
 		}
+	}
+	if err := checkPlan(c.ChaosPlan); err != nil {
+		return err
 	}
 	if c.ChaosPlan != nil {
 		for i, ev := range c.ChaosPlan.Events {
@@ -168,10 +172,10 @@ type JobResult struct {
 // MultiJobResult is the outcome of a multi-tenant run.
 type MultiJobResult struct {
 	Jobs []JobResult // in JobSpec order
-	// Tenants is the scheduler-side fair-share accounting (service
-	// counts, shares, resident bytes), in registration = spec order.
-	Tenants []dask.TenantStats
-	// Jain is Jain's fairness index over weight-normalized service.
+	// Jain is Jain's fairness index over weight-normalized service: the
+	// final value of the scheduler/fairness_jain gauge. Per-tenant
+	// service (scheduler/tenant_pops, scheduler/tenant_share) is in
+	// Metrics.
 	Jain      float64
 	Admission multijob.Stats
 	ChaosLog  []chaos.LogEntry
@@ -250,7 +254,7 @@ func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 		dc.EnableAudit()
 	}
 	// Registration order = spec order, so tenant indices, instrument
-	// creation, and TenantStatsAll are deterministic.
+	// creation, and the tenant series are deterministic.
 	for _, j := range cfg.Jobs {
 		if err := dc.RegisterTenant(j.Name, j.Weight); err != nil {
 			return nil, err
@@ -301,8 +305,6 @@ func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 
 	out := &MultiJobResult{
 		Jobs:      results,
-		Tenants:   dc.TenantStatsAll(),
-		Jain:      dc.JainFairness(),
 		Admission: plane.Stats(),
 	}
 	if ctrl != nil {
@@ -320,6 +322,7 @@ func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 	dc.RecordUtilization(out.Makespan)
 	p.machine.Fabric().RecordUtilization(out.Makespan)
 	out.Metrics = p.reg.Snapshot()
+	out.Jain = out.Metrics.Gauge(metrics.ID("scheduler", "fairness_jain"))
 	return out, nil
 }
 

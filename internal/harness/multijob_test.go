@@ -3,10 +3,12 @@ package harness
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"deisago/internal/chaos"
+	"deisago/internal/metrics"
 	"deisago/internal/multijob"
 )
 
@@ -49,10 +51,12 @@ func TestMultiJobSmoke(t *testing.T) {
 			t.Fatalf("job %q sent %d blocks, want %d", j.Name, j.BlocksSent, want)
 		}
 	}
-	// Tenants: default + one per job, in registration order.
-	if len(res.Tenants) != 3 || res.Tenants[0].Name != "default" ||
-		res.Tenants[1].Name != "ajob" || res.Tenants[2].Name != "bjob" {
-		t.Fatalf("tenants = %+v", res.Tenants)
+	// Tenants: default + one per job, each with its service series.
+	for _, name := range []string{"default", "ajob", "bjob"} {
+		id := metrics.ID("scheduler", "tenant_pops", metrics.L("tenant", name))
+		if !slices.ContainsFunc(res.Metrics.Counters, func(c metrics.CounterSnap) bool { return c.ID == id }) {
+			t.Fatalf("no %s series", id)
+		}
 	}
 	if res.Jain <= 0 || res.Jain > 1 {
 		t.Fatalf("Jain = %g", res.Jain)
@@ -207,6 +211,13 @@ func TestMultiJobValidation(t *testing.T) {
 	slash.Jobs[0].Name = "a/b"
 	if _, err := RunMultiJob(slash); err == nil {
 		t.Fatal("slash in job name accepted")
+	}
+	// "default" names the scheduler's catch-all tenant: validation must
+	// refuse it before any platform is built.
+	reserved := mjConfig(1)
+	reserved.Jobs[0].Name = "default"
+	if err := reserved.validate(); err == nil {
+		t.Fatal(`job named "default" passed validation`)
 	}
 	unknown := mjConfig(1)
 	plan, err := chaos.ParsePlan("killjob:ghost@1")

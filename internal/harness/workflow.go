@@ -129,12 +129,6 @@ type Result struct {
 	// it is a pure function of the plan and scenario (no timing), so the
 	// same seed yields an identical log on every run.
 	ChaosLog []chaos.LogEntry
-	// PublishRetries/Republished aggregate the bridges' fault recovery:
-	// publish attempts retried after drops or dead targets, and blocks
-	// re-sent after their worker died.
-	PublishRetries, Republished int64
-	// FabricBytes is the total traffic that crossed the interconnect.
-	FabricBytes int64
 	// BlocksSent/BlocksSkipped aggregate bridge-side contract filtering.
 	BlocksSent, BlocksSkipped int64
 	// AuditLog is the scheduler's transition log when the invariant
@@ -194,6 +188,9 @@ func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
 	if cfg.Ranks <= 0 || cfg.Workers <= 0 || cfg.Timesteps <= 0 || cfg.BlockBytes <= 0 {
 		return nil, fmt.Errorf("harness: ranks, workers, timesteps and block size must be positive")
+	}
+	if err := checkPlan(cfg.ChaosPlan); err != nil {
+		return nil, err
 	}
 	if cfg.System.InTransit() {
 		return runInTransit(cfg)
@@ -363,9 +360,6 @@ func runInTransit(cfg Config) (*Result, error) {
 		sent, skipped := b.Stats()
 		res.BlocksSent += sent
 		res.BlocksSkipped += skipped
-		retries, repub := b.RetryStats()
-		res.PublishRetries += retries
-		res.Republished += repub
 	}
 	if ctrl != nil {
 		res.ChaosLog = ctrl.Log()
@@ -384,7 +378,6 @@ func (e *env) finish(res *Result, dc *dask.Cluster, a analyticsResult, start vti
 	res.SingularValues = a.singularValues
 	res.ExplainedVariance = a.explainedVariance
 	res.Trace = dc.TraceEvents()
-	_, res.FabricBytes = e.machine.Fabric().Transfers()
 	if dc.AuditEnabled() {
 		res.AuditLog = dc.AuditLog()
 		res.AuditTruncated = dc.AuditTruncated()

@@ -1,19 +1,13 @@
 // Package multijob is the control plane that admits N concurrent
 // client pipelines onto one shared deisa platform (cluster, fabric,
-// PFS). It provides:
-//
-//   - Tenant: a job's identity and fair-share weight, mirrored onto the
-//     scheduler via dask.Cluster.RegisterTenant (key namespacing and
-//     weighted ready-queue interleaving live there).
-//   - Limits + Plane: an admission queue with configurable concurrency
-//     and managed-memory budgets. Jobs whose declared estimate can
-//     never fit are rejected immediately (ErrOverBudget); everything
-//     else queues FIFO and starts only when both the concurrency slot
-//     and the budget headroom exist — backpressure instead of
-//     overcommit, layered on the per-worker governance ledgers that
-//     bound what admitted jobs can actually hold resident.
-//   - JainIndex: the fairness figure of merit the per-tenant service
-//     gauges are summarized by.
+// PFS). Limits + Plane form an admission queue with configurable
+// concurrency and managed-memory budgets. Jobs whose declared estimate
+// can never fit are rejected immediately (ErrOverBudget); everything
+// else queues FIFO and starts only when both the concurrency slot and
+// the budget headroom exist — backpressure instead of overcommit,
+// layered on the per-worker governance ledgers that bound what admitted
+// jobs can actually hold resident. A job's tenant identity and
+// fair-share weight live on the scheduler (dask.Cluster.RegisterTenant).
 //
 // The plane is deliberately cluster-agnostic: it hands out admission
 // tickets, the harness driver (harness.RunMultiJob) runs the admitted
@@ -24,31 +18,8 @@ package multijob
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 )
-
-// Tenant is one job's identity on the shared platform.
-type Tenant struct {
-	// Name is the job namespace: every key of the job's pipeline is
-	// prefixed "<Name>/". Must be non-empty, without '/'.
-	Name string
-	// Weight is the fair-share weight (>0): a weight-2 tenant receives
-	// twice the ready-queue service of a weight-1 tenant while both are
-	// backlogged.
-	Weight float64
-}
-
-// Validate checks the tenant fields.
-func (t Tenant) Validate() error {
-	if t.Name == "" || strings.ContainsRune(t.Name, '/') {
-		return fmt.Errorf("multijob: invalid tenant name %q (non-empty, no '/')", t.Name)
-	}
-	if t.Weight <= 0 {
-		return fmt.Errorf("multijob: tenant %q needs a positive weight, got %g", t.Name, t.Weight)
-	}
-	return nil
-}
 
 // Limits bounds what the admission plane lets run at once. Zero values
 // mean "unlimited" for each knob independently.
@@ -180,25 +151,4 @@ func (p *Plane) Stats() Stats {
 		Running: p.running, Waiting: p.waiting,
 		MaxQueue: p.maxQueue, InUse: p.inUse,
 	}
-}
-
-// JainIndex computes Jain's fairness index over the given allocations:
-// (Σx)² / (n·Σx²), which is 1 when all x are equal and 1/n when one
-// claims everything. Non-positive entries are excluded; an empty (or
-// all-zero) input returns 1.
-func JainIndex(xs []float64) float64 {
-	var sum, sum2 float64
-	n := 0
-	for _, x := range xs {
-		if x <= 0 {
-			continue
-		}
-		sum += x
-		sum2 += x * x
-		n++
-	}
-	if n == 0 || sum2 == 0 {
-		return 1
-	}
-	return sum * sum / (float64(n) * sum2)
 }

@@ -2,30 +2,10 @@ package multijob
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestTenantValidate(t *testing.T) {
-	cases := []struct {
-		in Tenant
-		ok bool
-	}{
-		{Tenant{Name: "jobA", Weight: 1}, true},
-		{Tenant{Name: "j", Weight: 0.5}, true},
-		{Tenant{Name: "", Weight: 1}, false},
-		{Tenant{Name: "a/b", Weight: 1}, false},
-		{Tenant{Name: "jobA", Weight: 0}, false},
-		{Tenant{Name: "jobA", Weight: -2}, false},
-	}
-	for _, c := range cases {
-		if err := c.in.Validate(); (err == nil) != c.ok {
-			t.Errorf("Validate(%+v) = %v, want ok=%v", c.in, err, c.ok)
-		}
-	}
-}
 
 func TestAdmitUnlimited(t *testing.T) {
 	p := NewPlane(Limits{})
@@ -201,29 +181,4 @@ func TestNewPlanePanicsOnNegativeLimits(t *testing.T) {
 		}
 	}()
 	NewPlane(Limits{MaxConcurrent: -1})
-}
-
-func TestJainIndex(t *testing.T) {
-	approx := func(got, want float64) bool { return math.Abs(got-want) < 1e-12 }
-	if got := JainIndex(nil); got != 1 {
-		t.Errorf("JainIndex(nil) = %g, want 1", got)
-	}
-	if got := JainIndex([]float64{0, 0}); got != 1 {
-		t.Errorf("all-zero = %g, want 1", got)
-	}
-	if got := JainIndex([]float64{5, 5, 5, 5}); !approx(got, 1) {
-		t.Errorf("equal shares = %g, want 1", got)
-	}
-	// One tenant hogging everything: 1/n.
-	if got := JainIndex([]float64{10, 0, 0, 0}); !approx(got, 1) {
-		// zeros excluded -> single positive entry is perfectly fair to itself
-		t.Errorf("single positive = %g, want 1", got)
-	}
-	if got := JainIndex([]float64{1, 1, 1, 97}); got >= 0.5 {
-		t.Errorf("skewed shares = %g, want < 0.5", got)
-	}
-	// Known value: x = {1, 3} -> (4)^2 / (2 * 10) = 0.8.
-	if got := JainIndex([]float64{1, 3}); !approx(got, 0.8) {
-		t.Errorf("JainIndex({1,3}) = %g, want 0.8", got)
-	}
 }

@@ -13,9 +13,9 @@
 //
 // Concurrent transfers contend only where the model says they contend —
 // on the per-link vtime.Resource mutexes along their paths — never on
-// fabric bookkeeping: totals are atomics, metric handles are resolved
-// once (fabric totals when a registry is attached, per-link bundles
-// CAS-cached on first use), and fault hooks are read through an atomic
+// fabric bookkeeping: the only totals are the attached registry's
+// counters, whose handles are resolved once (fabric totals in
+// UseMetrics, per-link bundles CAS-cached on first use), and fault hooks are read through an atomic
 // snapshot pointer (DESIGN.md §14).
 //
 // The paper's Experiment II (Figure 5) attributes run-to-run variability
@@ -147,12 +147,6 @@ type Fabric struct {
 	upBW   float64 // uplink bandwidth, precomputed at New
 	nodes  []*node
 	leaves []*leafSwitch
-
-	// Fabric totals. Atomics, not a mutex: transfers on disjoint paths
-	// must never serialize on bookkeeping.
-	transfers atomic.Int64
-	bytes     atomic.Int64
-	dropped   atomic.Int64
 
 	// Fault hooks behind an atomic snapshot: the transfer path loads the
 	// current slice pointer; AddFaultHook/ClearFaultHooks/Reset swap in a
@@ -434,9 +428,8 @@ func (f *Fabric) Transfer(from, to NodeID, size int64, depart vtime.Time) vtime.
 // being lost) and the returned time is when the loss is final.
 //
 // The only synchronization on this path is the per-link Resource booking
-// along the transfer's own route: totals are atomics, metric handles are
-// pre-resolved or CAS-cached (and nil-safe when no registry is
-// attached), the fault snapshot and jitter are lock-free reads.
+// along the transfer's own route: metric handles are pre-resolved or
+// CAS-cached (and nil-safe when no registry is attached), the fault snapshot and jitter are lock-free reads.
 func (f *Fabric) TransferChecked(from, to NodeID, size int64, depart vtime.Time) (vtime.Time, bool) {
 	if size < 0 {
 		panic("netsim: negative transfer size")
@@ -444,10 +437,7 @@ func (f *Fabric) TransferChecked(from, to NodeID, size int64, depart vtime.Time)
 	a, b := f.nodes[f.check(from)], f.nodes[f.check(to)]
 	v := f.verdict(from, to, size, depart)
 
-	f.transfers.Add(1)
-	f.bytes.Add(size)
 	if v.Drop {
-		f.dropped.Add(1)
 		f.mDropped.Inc()
 	}
 
@@ -515,23 +505,12 @@ func (f *Fabric) TransferDuration(from, to NodeID, size int64) vtime.Dur {
 	return d
 }
 
-// Transfers returns the number of transfers and total bytes moved.
-func (f *Fabric) Transfers() (n int64, bytes int64) {
-	return f.transfers.Load(), f.bytes.Load()
-}
-
-// Dropped returns the number of transfers lost to fault-hook drops.
-func (f *Fabric) Dropped() int64 {
-	return f.dropped.Load()
-}
-
-// Reset returns every link to idle at time zero and clears counters and
-// fault hooks. Jitter needs no re-seeding: it is a stateless hash of each
-// transfer, so repeated runs are identical by construction.
+// Reset returns every link to idle at time zero and clears the fault
+// hooks. Traffic totals live in the attached registry, which a fresh run
+// replaces with UseMetrics. Jitter needs no re-seeding: it is a
+// stateless hash of each transfer, so repeated runs are identical by
+// construction.
 func (f *Fabric) Reset() {
-	f.transfers.Store(0)
-	f.bytes.Store(0)
-	f.dropped.Store(0)
 	f.hookMu.Lock()
 	f.hooks.Store(nil)
 	f.hookMu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"deisago/internal/metrics"
 )
 
 func testConfig() Config {
@@ -99,18 +101,25 @@ func TestContentionQueueing(t *testing.T) {
 	}
 }
 
+// fabricTotals reads the fabric totals from the registry attached with
+// UseMetrics: transfers and bytes over both scopes, and drops.
+func fabricTotals(reg *metrics.Registry) (n, bytes, dropped int64) {
+	s := reg.Snapshot()
+	return s.SumCounters("fabric/transfers{"), s.SumCounters("fabric/bytes{"), s.Counter("fabric/dropped")
+}
+
 func TestTransferCounters(t *testing.T) {
 	f := New(testConfig(), 4)
+	reg := metrics.NewRegistry()
+	f.UseMetrics(reg)
 	f.Transfer(0, 1, 100, 0)
 	f.Transfer(1, 2, 200, 0)
-	n, b := f.Transfers()
-	if n != 2 || b != 300 {
-		t.Fatalf("counters = (%d,%d), want (2,300)", n, b)
+	f.Transfer(3, 3, 50, 0)
+	if n, b, _ := fabricTotals(reg); n != 3 || b != 350 {
+		t.Fatalf("counters = (%d,%d), want (3,350)", n, b)
 	}
-	f.Reset()
-	n, b = f.Transfers()
-	if n != 0 || b != 0 {
-		t.Fatalf("Reset left counters (%d,%d)", n, b)
+	if b := reg.Counter("fabric", "bytes", metrics.L("scope", "local")).Load(); b != 50 {
+		t.Fatalf("local bytes = %d, want 50", b)
 	}
 }
 
@@ -297,6 +306,8 @@ func TestFaultHookWindowAndLatency(t *testing.T) {
 
 func TestFaultHookDrops(t *testing.T) {
 	f := New(testConfig(), 4)
+	reg := metrics.NewRegistry()
+	f.UseMetrics(reg)
 	drops := 0
 	f.AddFaultHook(func(from, to NodeID, _ int64, _ float64) FaultVerdict {
 		return FaultVerdict{Drop: from == 0 && to == 1}
@@ -311,15 +322,14 @@ func TestFaultHookDrops(t *testing.T) {
 	// Plain Transfer models reliable delivery but still counts the drop.
 	f.Transfer(0, 1, 1024, 0)
 	drops++
-	if got := f.Dropped(); got != int64(drops) {
-		t.Fatalf("Dropped = %d, want %d", got, drops)
+	if _, _, got := fabricTotals(reg); got != int64(drops) {
+		t.Fatalf("fabric/dropped = %d, want %d", got, drops)
 	}
 	f.ClearFaultHooks()
 	if _, ok := f.TransferChecked(0, 1, 1024, 0); !ok {
 		t.Fatal("drop survived ClearFaultHooks")
 	}
-	f.Reset()
-	if f.Dropped() != 0 {
-		t.Fatal("Reset did not clear drop counter")
+	if _, _, got := fabricTotals(reg); got != int64(drops) {
+		t.Fatalf("delivery after ClearFaultHooks counted a drop: %d", got)
 	}
 }

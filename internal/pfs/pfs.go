@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"deisago/internal/metrics"
 	"deisago/internal/vtime"
@@ -90,11 +89,6 @@ type FS struct {
 	mu    sync.Mutex
 	files map[string]*file
 
-	// Traffic totals are atomics so concurrent readers/writers meet only
-	// on the OST resources the model says they share, not on bookkeeping.
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
-
 	// Metric handles, resolved once by UseMetrics (nil and no-op when no
 	// registry is attached). Published before I/O starts; the data path
 	// reads them unsynchronized on that happens-before.
@@ -147,8 +141,8 @@ func (fs *FS) UseMetrics(r *metrics.Registry) {
 func (fs *FS) RecordUtilization(at vtime.Time) {
 	fs.mu.Lock()
 	reg := fs.reg
+	moved := fs.mReadBytes.Load() + fs.mWriteBytes.Load()
 	fs.mu.Unlock()
-	moved := fs.bytesRead.Load() + fs.bytesWritten.Load()
 	if reg == nil || at <= 0 {
 		return
 	}
@@ -288,7 +282,6 @@ func (fs *FS) WriteAtCost(path string, off int64, p []byte, costBytes int64, at 
 		return at, err
 	}
 	f.writeAt(off, p)
-	fs.bytesWritten.Add(costBytes)
 	fs.mWriteBytes.Add(costBytes)
 	return fs.stripeCost(off, costBytes, at), nil
 }
@@ -321,14 +314,8 @@ func (fs *FS) ReadAtCostBuf(path string, off, n, costBytes int64, buf []byte, at
 	if err != nil {
 		return nil, at, err
 	}
-	fs.bytesRead.Add(costBytes)
 	fs.mReadBytes.Add(costBytes)
 	return data, fs.stripeCost(off, costBytes, at), nil
-}
-
-// Traffic returns total bytes read and written since creation or Reset.
-func (fs *FS) Traffic() (read, written int64) {
-	return fs.bytesRead.Load(), fs.bytesWritten.Load()
 }
 
 // ReleaseBefore promises that no future I/O on this file system will be
@@ -346,12 +333,10 @@ func (fs *FS) ReleaseBefore(t vtime.Time) {
 }
 
 // ResetTime returns all OSTs and the MDS to idle at time zero without
-// touching file contents, and clears traffic counters.
+// touching file contents. Traffic totals live in the attached registry.
 func (fs *FS) ResetTime() {
 	fs.mds.Reset()
 	for _, o := range fs.osts {
 		o.Reset()
 	}
-	fs.bytesRead.Store(0)
-	fs.bytesWritten.Store(0)
 }

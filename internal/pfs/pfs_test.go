@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"deisago/internal/metrics"
 )
 
 func testConfig() Config {
@@ -145,17 +147,24 @@ func TestContentionBetweenWriters(t *testing.T) {
 
 func TestTraffic(t *testing.T) {
 	fs := New(testConfig())
+	reg := metrics.NewRegistry()
+	fs.UseMetrics(reg)
 	fs.Create("f", 0)
 	fs.WriteAt("f", 0, make([]byte, 100), 0)
 	fs.ReadAt("f", 0, 40, 0)
-	r, w := fs.Traffic()
-	if r != 40 || w != 100 {
-		t.Fatalf("Traffic = (%d,%d)", r, w)
+	fs.ReadAtCost("f", 0, 10, 1000, 0) // the modelled size is what counts
+	snap := reg.Snapshot()
+	r, w := snap.Counter("pfs/bytes{op=read}"), snap.Counter("pfs/bytes{op=write}")
+	if r != 1040 || w != 100 {
+		t.Fatalf("pfs/bytes read/write = (%d,%d), want (1040,100)", r, w)
 	}
-	fs.ResetTime()
-	r, w = fs.Traffic()
-	if r != 0 || w != 0 {
-		t.Fatal("ResetTime did not clear traffic")
+	if ost := snap.SumCounters("pfs/ost_bytes{"); ost != r+w {
+		t.Fatalf("per-OST bytes sum to %d, want %d", ost, r+w)
+	}
+	// The bandwidth-share gauge reads the same counters.
+	fs.RecordUtilization(1)
+	if got, want := reg.Gauge("pfs", "aggregate_bw_share").Value(), float64(r+w)/fs.AggregateBandwidth(); got != want {
+		t.Fatalf("aggregate_bw_share = %g, want %g", got, want)
 	}
 }
 

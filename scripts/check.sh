@@ -2,7 +2,8 @@
 # Pre-PR gate: formatting, vet, full tests with coverage (which also
 # run the Example functions, the golden snapshots, and the schedule-space
 # and multi-tenant explorers), a race-detector pass over the packages
-# with parallel kernels or concurrent runtime machinery (with the
+# with parallel kernels or concurrent runtime machinery (admission
+# queue, FCFS resources and MPI rank goroutines included; with the
 # scheduler invariant auditor on and a fixed chaos seed), the CLI chaos
 # acceptance run, short fuzz smokes of the scheduler auditor and the
 # worker memory governor, the planted-mutant self-test of the
@@ -82,7 +83,11 @@ DEISA_AUDIT=1 go test -race \
     ./internal/harness \
     ./internal/simtest \
     ./internal/netsim \
-    ./internal/metrics
+    ./internal/metrics \
+    ./internal/multijob \
+    ./internal/pfs \
+    ./internal/vtime \
+    ./internal/mpi
 
 echo "== chaos acceptance (fixed seed, auditor on) =="
 DEISA_AUDIT=1 go run ./cmd/experiments -quick -chaos-seed 7
