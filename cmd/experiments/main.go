@@ -1,8 +1,9 @@
 // Command experiments regenerates the paper's tables and figures on the
-// simulated platform and runs single workflows. Each figure of the
-// evaluation section (Figures 2–5) has a generator; -all runs everything,
-// -quick uses a reduced scale. A non-empty -system runs one workflow
-// configuration and prints its measurements.
+// simulated platform and runs single workflows. The figures (2–5),
+// ablations and summaries selected in one invocation are views of one
+// run set; -all selects every figure, -quick uses a reduced scale. A
+// non-empty -system runs one workflow configuration and prints its
+// measurements.
 //
 // Usage:
 //
@@ -23,6 +24,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -61,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 		quick    = fs.Bool("quick", false, "reduced scale (fast)")
 		csv      = fs.Bool("csv", false, "CSV output for tables")
 		svgDir   = fs.String("svg", "", "also write each figure as an SVG chart into this directory")
-		parallel = fs.Int("parallel", 0, "run up to this many independent simulations concurrently per sweep (0 = GOMAXPROCS, 1 = serial); outputs are byte-identical for any value")
+		parallel = fs.Int("parallel", 0, "run up to this many independent simulations concurrently per invocation (0 = GOMAXPROCS, 1 = serial); outputs are byte-identical for any value")
 
 		system   = fs.String("system", "", "run one workflow: posthoc-old|posthoc-new|deisa1|deisa2|deisa3")
 		ranks    = fs.Int("ranks", 4, "MPI processes (simulation side) for -system and the chaos scenario")
@@ -93,11 +96,45 @@ func run(args []string, stdout io.Writer) error {
 	if *quick {
 		opts = harness.QuickOptions()
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("%w: -parallel %d is negative", errUsage, *parallel)
+	}
 	opts.Parallel = *parallel
 	if !*all && *fig == "" && !*headline && *ablation == "" && *chaosSeed == 0 && *chaosPlan == "" &&
 		*system == "" && *jobs == 0 {
 		fs.Usage()
 		return fmt.Errorf("%w: pass -system, -fig, -headline, -ablation, -all, -chaos-seed, -chaos-plan or -jobs", errUsage)
+	}
+
+	// Every figure, ablation and summary selected is one view of a
+	// single run set, resolved before anything runs.
+	var names []string
+	add := func(ns ...string) {
+		for _, n := range ns {
+			if n = strings.ToLower(n); !slices.Contains(names, n) {
+				names = append(names, n)
+			}
+		}
+	}
+	if *fig != "" {
+		add(*fig)
+	}
+	switch *ablation {
+	case "":
+	case "all":
+		add("ablation-heartbeat", "ablation-metadata", "ablation-contract", "ablation-placement", "ablation-fuse")
+	default:
+		add("ablation-" + *ablation)
+	}
+	if *all {
+		add("2a", "2b", "3a", "3b", "4a", "4b", "5", "meta", "headline")
+	}
+	if *headline {
+		add("headline")
+	}
+	sweep, err := harness.NewSweep(opts, names...)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 
 	if *jobs > 0 {
@@ -155,100 +192,38 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// A figure or ablation prints one table (and renders it under -svg);
-	// Figure 5 and the metadata counts have formats of their own.
-	tables := map[string]func(harness.Options) (*harness.Table, error){
-		"2a": harness.Fig2a, "2b": harness.Fig2b, "3a": harness.Fig3a,
-		"3b": harness.Fig3b, "4a": harness.Fig4a, "4b": harness.Fig4b,
-		"ablation-heartbeat": func(o harness.Options) (*harness.Table, error) { return harness.AblationHeartbeat(o, nil) },
-		"ablation-metadata":  func(o harness.Options) (*harness.Table, error) { return harness.AblationMetadata(o, nil) },
-		"ablation-contract":  func(o harness.Options) (*harness.Table, error) { return harness.AblationContract(o, nil) },
-		"ablation-placement": harness.AblationPlacement,
-		"ablation-fuse":      harness.AblationFuse,
-	}
-	writeSVG := func(name, svg string) error {
-		if *svgDir == "" {
-			return nil
-		}
-		path := fmt.Sprintf("%s/fig%s.svg", *svgDir, name)
-		fmt.Fprintf(os.Stderr, "[svg -> %s]\n", path)
-		return os.WriteFile(path, []byte(svg), 0o644)
-	}
-	runFig := func(name string) error {
-		start := time.Now()
-		name = strings.ToLower(name)
-		gen, ok := tables[name]
-		switch {
-		case ok:
-			t, err := gen(opts)
-			if err != nil {
-				return err
-			}
-			if *csv {
-				fmt.Fprintln(stdout, t.CSV())
-			} else {
-				fmt.Fprintln(stdout, t.Format())
-			}
-			if err := writeSVG(name, t.RenderSVG(900, 420)); err != nil {
-				return err
-			}
-		case name == "5":
-			runs, err := harness.Fig5(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, harness.FormatFig5(runs))
-			if err := writeSVG(name, harness.RenderFig5SVG(runs, 960, 640)); err != nil {
-				return err
-			}
-		case name == "meta":
-			ranks := opts.WeakProcs[len(opts.WeakProcs)-1]
-			mc, err := harness.ComputeMetadataCounts(opts, ranks, ranks/2)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, mc.Format())
-		default:
-			return fmt.Errorf("unknown figure or ablation %q", name)
-		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
+	if len(names) == 0 {
 		return nil
 	}
-
-	var names []string
-	if *fig != "" {
-		names = append(names, *fig)
+	start := time.Now()
+	outs, err := sweep.Execute()
+	if err != nil {
+		return err
 	}
-	switch *ablation {
-	case "":
-	case "all":
-		names = append(names, "ablation-heartbeat", "ablation-metadata", "ablation-contract",
-			"ablation-placement", "ablation-fuse")
-	default:
-		names = append(names, "ablation-"+*ablation)
-	}
-	if *all {
-		names = append(names, "2a", "2b", "3a", "3b", "4a", "4b", "5", "meta")
-	}
-	if *headline {
-		h, err := harness.ComputeHeadline(opts)
-		if err != nil {
-			return err
+	// A table prints as text or CSV; tables and Figure 5 also render
+	// under -svg.
+	for i, out := range outs {
+		text, svg := out.Format(), ""
+		switch v := out.(type) {
+		case *harness.Table:
+			if *csv {
+				text = v.CSV()
+			}
+			svg = v.RenderSVG(900, 420)
+		case harness.Fig5Panels:
+			svg = harness.RenderFig5SVG(v, 960, 640)
 		}
-		fmt.Fprintln(stdout, h.Format())
-	}
-	for _, name := range names {
-		if err := runFig(name); err != nil {
-			return err
+		fmt.Fprintln(stdout, text)
+		if *svgDir != "" && svg != "" {
+			path := fmt.Sprintf("%s/fig%s.svg", *svgDir, names[i])
+			fmt.Fprintf(os.Stderr, "[svg -> %s]\n", path)
+			if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
+				return err
+			}
 		}
 	}
-	if *all {
-		h, err := harness.ComputeHeadline(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, h.Format())
-	}
+	fmt.Fprintf(os.Stderr, "[%s: %d simulations in %v]\n", strings.Join(names, " "), sweep.Runs(),
+		time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -348,9 +323,9 @@ func runMultiJob(stdout io.Writer, opts harness.Options, n int, weightsCSV strin
 	var weights []float64
 	if weightsCSV != "" {
 		for _, f := range strings.Split(weightsCSV, ",") {
-			var w float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%g", &w); err != nil {
-				return fmt.Errorf("-tenant-weights %q: %w", weightsCSV, err)
+			w, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+			if err != nil {
+				return fmt.Errorf("%w: -tenant-weights %q: %v", errUsage, weightsCSV, err)
 			}
 			weights = append(weights, w)
 		}

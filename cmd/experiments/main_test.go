@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"deisago/internal/metrics"
@@ -51,5 +54,37 @@ func TestRunSystemWritesMetrics(t *testing.T) {
 func TestRunUnknownSystem(t *testing.T) {
 	if err := run([]string{"-system", "nonsense"}, io.Discard); err == nil {
 		t.Fatal("-system nonsense accepted")
+	}
+}
+
+// TestRunRejectsBadInput: a command line that is wrong is a usage
+// error, reported before any simulation runs.
+func TestRunRejectsBadInput(t *testing.T) {
+	for name, args := range map[string][]string{
+		"weight with trailing garbage": {"-quick", "-jobs", "2", "-tenant-weights", "1,2x"},
+		"negative parallel":            {"-quick", "-parallel", "-3", "-fig", "meta"},
+		"unknown figure after another": {"-quick", "-headline", "-fig", "9"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(args, &out); !errors.Is(err, errUsage) {
+				t.Fatalf("%v: err = %v, want a usage error", args, err)
+			}
+			if out.Len() > 0 {
+				t.Fatalf("%v ran before rejecting its input:\n%s", args, out.String())
+			}
+		})
+	}
+}
+
+// TestAllHeadlinePrintsOnce: -headline beside -all selects the same
+// view, so the ratios print once.
+func TestAllHeadlinePrintsOnce(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-quick", "-all", "-headline"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out.String(), "Headline ratios"); n != 1 {
+		t.Fatalf("headline printed %d times", n)
 	}
 }

@@ -16,10 +16,7 @@ func ablationOptions() Options {
 
 func TestAblationHeartbeat(t *testing.T) {
 	o := ablationOptions()
-	tab, err := AblationHeartbeat(o, []float64{0.5, math.Inf(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := viewTable(t, o, ablationHeartbeat(o, []float64{0.5, math.Inf(1)}))
 	if len(tab.XTicks) != 2 || tab.XTicks[1] != "inf" {
 		t.Fatalf("ticks = %v", tab.XTicks)
 	}
@@ -40,10 +37,7 @@ func TestAblationHeartbeat(t *testing.T) {
 
 func TestAblationMetadata(t *testing.T) {
 	o := ablationOptions()
-	tab, err := AblationMetadata(o, []float64{0, 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := viewTable(t, o, ablationMetadata(o, []float64{0, 1e-3}))
 	d1 := seriesByLabel(t, tab, "DEISA1 coupling s/iter")
 	d3 := seriesByLabel(t, tab, "DEISA3 reference")
 	// With no metadata cost DEISA1 approaches DEISA3.
@@ -58,10 +52,7 @@ func TestAblationMetadata(t *testing.T) {
 
 func TestAblationContract(t *testing.T) {
 	o := ablationOptions()
-	tab, err := AblationContract(o, []float64{0.5, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := viewTable(t, o, ablationContract(o, []float64{0.5, 1.0}))
 	sent := seriesByLabel(t, tab, "Blocks shipped")
 	traffic := seriesByLabel(t, tab, "Fabric GiB")
 	// Half the selection ships half the blocks and less traffic.
@@ -78,10 +69,7 @@ func TestAblationContract(t *testing.T) {
 
 func TestAblationPlacement(t *testing.T) {
 	o := ablationOptions()
-	tab, err := AblationPlacement(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := viewTable(t, o, ablationPlacement(o))
 	analytics := seriesByLabel(t, tab, "Analytics s")
 	if analytics.Mean[0] <= 0 || analytics.Mean[1] <= 0 {
 		t.Fatalf("bad analytics times: %v", analytics.Mean)
@@ -96,10 +84,7 @@ func TestAblationPlacement(t *testing.T) {
 
 func TestAblationFuse(t *testing.T) {
 	o := ablationOptions()
-	tab, err := AblationFuse(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := viewTable(t, o, ablationFuse(o))
 	tasks := seriesByLabel(t, tab, "Tasks registered")
 	if tasks.Mean[1] >= tasks.Mean[0] {
 		t.Fatalf("fusion did not reduce tasks: %v", tasks.Mean)

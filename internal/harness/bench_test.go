@@ -32,7 +32,11 @@ func BenchmarkPipelineSweep(b *testing.B) {
 			o := benchOptions(bc.parallel)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Fig2a(o); err != nil {
+				s, err := NewSweep(o, "2a")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Execute(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,10 +11,12 @@ import (
 	"deisago/internal/vtime"
 )
 
-// This file regenerates the paper's figures. Each Fig* function runs the
-// required configurations (three runs each, like the paper's "three runs
-// of 10 timesteps") and returns a Table whose rows match the figure's
-// bars/curves.
+// This file regenerates the paper's figures. Each figure, ablation and
+// summary is a view: the configurations it reads (three runs each, like
+// the paper's "three runs of 10 timesteps") and how it renders their
+// results. A Sweep runs the distinct configurations of every selected
+// view once and renders all of them from that one result set, so
+// figures the paper draws from one experiment read the same runs.
 
 // MiB is one mebibyte.
 const MiB = 1 << 20
@@ -104,11 +107,11 @@ type Options struct {
 	// processes, 1 GiB each).
 	Fig5Procs      int
 	Fig5BlockBytes int64
-	// Parallel caps how many independent simulations the sweep helpers
-	// run concurrently (0 = GOMAXPROCS, 1 = serial). Each run builds its
+	// Parallel caps how many independent simulations run concurrently
+	// per invocation (0 = GOMAXPROCS, 1 = serial). Each run builds its
 	// own machine, fabric, metrics registry and clocks, and every result
-	// lands in a slot indexed by (system, point, run), so sweep outputs
-	// are byte-identical for any setting.
+	// lands in a slot owned by its configuration, so outputs are
+	// byte-identical for any setting.
 	Parallel int
 }
 
@@ -201,311 +204,265 @@ func runPool(parallel, n int, job func(i int) error) error {
 	return nil
 }
 
-// runRepeats executes a configuration Runs times with distinct seeds
-// (concurrently, up to Options.Parallel) and returns the results in run
-// order.
-func runRepeats(o Options, cfg Config) ([]*Result, error) {
-	out := make([]*Result, o.Runs)
-	err := runPool(o.parallel(), o.Runs, func(run int) error {
-		c := cfg
-		c.Seed = int64(run*1009 + 1)
-		c.Model = o.Model
-		c.Timesteps = o.Timesteps
-		res, err := Run(c)
-		if err != nil {
-			return fmt.Errorf("%s P=%d W=%d run %d: %w", c.System, c.Ranks, c.Workers, run, err)
-		}
-		out[run] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func meanStd(vals []float64) (float64, float64) {
 	st := vtime.Summarize(vals)
 	return st.Mean, st.Std
 }
 
-// collect runs all requested systems over a sweep of (ranks, workers)
-// pairs and returns results[system][point][run]. The full (system, point,
-// run) cross product is flattened into one job list and executed on a
-// bounded pool; runs are independent simulations, and each writes its
-// pre-assigned slot, so the table is identical to serial execution.
-func collect(o Options, systems []System, points [][2]int, blockBytes func(procs int) int64) (map[System][][]*Result, error) {
-	out := map[System][][]*Result{}
-	type job struct {
-		sys     System
-		pt, run int
+// Output is what a view renders: a *Table, Fig5Panels, a *Headline or
+// a *MetadataCounts.
+type Output interface{ Format() string }
+
+// A view is one figure, ablation or summary, declared as the
+// configurations it reads (seeds set) and how it renders their results.
+// Views never run anything; a Sweep runs their configurations.
+type view struct {
+	configs []Config
+	render  func(results map[Config]*Result) Output
+}
+
+// views maps every selectable name to its view.
+var views = map[string]func(Options) view{
+	"2a": func(o Options) view {
+		return scalingView(o, false, Table{
+			Title:  fmt.Sprintf("Fig 2a — weak scaling, simulation side, %d MiB per process (s/iteration)", o.BlockBytes/MiB),
+			XLabel: "Processes", YLabel: "s/iter",
+		}, append([]curve{{"Simulation", "", DEISA3, simStep}}, couplingCurves(commMean)...)...)
+	},
+	"2b": func(o Options) view {
+		return scalingView(o, false, Table{
+			Title:  fmt.Sprintf("Fig 2b — weak scaling, analytics, %d MiB per process (s)", o.BlockBytes/MiB),
+			XLabel: "Workers", YLabel: "s",
+		}, analyticsCurves(analyticsTime)...)
+	},
+	"3a": func(o Options) view {
+		return scalingView(o, false, Table{
+			Title:  "Fig 3a — weak scaling, communications and I/Os (MiB/s per process)",
+			XLabel: "Processes", YLabel: "MiB/s",
+		}, couplingCurves((*Result).SimBandwidthMiBps)...)
+	},
+	"3b": func(o Options) view {
+		return scalingView(o, false, Table{
+			Title:  "Fig 3b — weak scaling, analytics bandwidth (MiB/s)",
+			XLabel: "Workers", YLabel: "MiB/s",
+		}, analyticsCurves((*Result).AnalyticsBandwidthMiBps)...)
+	},
+	"4a": func(o Options) view {
+		return scalingView(o, true, Table{
+			Title:  fmt.Sprintf("Fig 4a — strong scaling, %d GiB problem, simulation side (core·hours)", o.StrongTotalBytes/GiB),
+			XLabel: "Processes", YLabel: "core·h",
+		}, append([]curve{{"Simulation", "", DEISA3, (*Result).SimComputeCostCoreHours}},
+			couplingCurves((*Result).SimCommCostCoreHours)...)...)
+	},
+	"4b": func(o Options) view {
+		return scalingView(o, true, Table{
+			Title:  fmt.Sprintf("Fig 4b — strong scaling, %d GiB problem, analytics (core·hours)", o.StrongTotalBytes/GiB),
+			XLabel: "Workers", YLabel: "core·h",
+		}, analyticsCurves((*Result).AnalyticsCostCoreHours)...)
+	},
+	"5":                  fig5,
+	"meta":               metadataCounts,
+	"headline":           headline,
+	"ablation-heartbeat": func(o Options) view { return ablationHeartbeat(o, nil) },
+	"ablation-metadata":  func(o Options) view { return ablationMetadata(o, nil) },
+	"ablation-contract":  func(o Options) view { return ablationContract(o, nil) },
+	"ablation-placement": ablationPlacement,
+	"ablation-fuse":      ablationFuse,
+}
+
+// Sweep is the run set of one invocation: the selected views and the
+// distinct configurations they read. Each configuration runs once,
+// however many views read it.
+type Sweep struct {
+	parallel int
+	views    []view
+	configs  []Config // distinct, in first-read order
+}
+
+// NewSweep resolves view names against o: "2a", "2b", "3a", "3b", "4a",
+// "4b", "5", "meta", "headline", and "ablation-" followed by heartbeat,
+// metadata, contract, placement or fuse. An unknown name is an error.
+// Nothing runs until Execute.
+func NewSweep(o Options, names ...string) (*Sweep, error) {
+	o.defaults()
+	vs := make([]view, len(names))
+	for i, name := range names {
+		mk, ok := views[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown figure or ablation %q", name)
+		}
+		vs[i] = mk(o)
 	}
-	jobs := make([]job, 0, len(systems)*len(points)*o.Runs)
-	for _, sys := range systems {
-		per := make([][]*Result, len(points))
-		for i := range points {
-			per[i] = make([]*Result, o.Runs)
-			for run := 0; run < o.Runs; run++ {
-				jobs = append(jobs, job{sys, i, run})
+	return newSweep(o, vs...), nil
+}
+
+func newSweep(o Options, vs ...view) *Sweep {
+	s := &Sweep{parallel: o.parallel(), views: vs}
+	seen := map[Config]bool{}
+	for _, v := range vs {
+		for _, c := range v.configs {
+			if !seen[c] {
+				seen[c] = true
+				s.configs = append(s.configs, c)
 			}
 		}
-		out[sys] = per
 	}
-	err := runPool(o.parallel(), len(jobs), func(k int) error {
-		j := jobs[k]
-		pt := points[j.pt]
-		cfg := Config{
-			System:     j.sys,
-			Ranks:      pt[0],
-			Workers:    pt[1],
-			Timesteps:  o.Timesteps,
-			BlockBytes: blockBytes(pt[0]),
-			Seed:       int64(j.run*1009 + 1),
-			Model:      o.Model,
-		}
-		res, err := Run(cfg)
+	return s
+}
+
+// Runs is the number of simulations Execute runs.
+func (s *Sweep) Runs() int { return len(s.configs) }
+
+// Execute runs every distinct configuration once, up to Options.Parallel
+// at a time, and renders the views, in name order, from that one result
+// set.
+func (s *Sweep) Execute() ([]Output, error) {
+	res, err := s.run()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Output, len(s.views))
+	for i, v := range s.views {
+		out[i] = v.render(res)
+	}
+	return out, nil
+}
+
+// run executes the configurations; each run fills the slot of its own
+// index, so the result set is the same for any pool width.
+func (s *Sweep) run() (map[Config]*Result, error) {
+	slots := make([]*Result, len(s.configs))
+	err := runPool(s.parallel, len(s.configs), func(i int) error {
+		c := s.configs[i]
+		r, err := Run(c)
 		if err != nil {
-			return fmt.Errorf("%s P=%d W=%d run %d: %w", cfg.System, cfg.Ranks, cfg.Workers, j.run, err)
+			return fmt.Errorf("%s P=%d W=%d seed %d: %w", c.System, c.Ranks, c.Workers, c.Seed, err)
 		}
-		out[j.sys][j.pt][j.run] = res
+		slots[i] = r
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-func series(label string, points int, f func(point int) []float64) Series {
-	s := Series{Label: label}
-	for p := 0; p < points; p++ {
-		m, sd := meanStd(f(p))
-		s.Mean = append(s.Mean, m)
-		s.Std = append(s.Std, sd)
+	res := make(map[Config]*Result, len(slots))
+	for i, c := range s.configs {
+		res[c] = slots[i]
 	}
-	return s
+	return res, nil
 }
 
-func weakPoints(o Options) [][2]int {
-	pts := make([][2]int, len(o.WeakProcs))
-	for i, p := range o.WeakProcs {
-		w := p / 2
-		if w < 1 {
-			w = 1
-		}
-		pts[i] = [2]int{p, w}
-	}
-	return pts
-}
+// figureSeed is the seed rule of the Fig 2–4 runs, the headline and the
+// metadata counts.
+func figureSeed(run int) int64 { return int64(run*1009 + 1) }
 
-func ticks(points [][2]int, idx int) []string {
-	out := make([]string, len(points))
-	for i, p := range points {
-		out[i] = fmt.Sprintf("%d", p[idx])
+// seeded returns the Runs repetitions of cfg under a seed rule.
+func seeded(o Options, cfg Config, seed func(run int) int64) []Config {
+	out := make([]Config, o.Runs)
+	for run := range out {
+		out[run] = cfg
+		out[run].Seed = seed(run)
 	}
 	return out
 }
 
-func pluck(results [][]*Result, point int, f func(*Result) float64) []float64 {
-	out := make([]float64, 0, len(results[point]))
-	for _, r := range results[point] {
-		out = append(out, f(r))
+func values(res map[Config]*Result, cfgs []Config, f func(*Result) float64) []float64 {
+	out := make([]float64, len(cfgs))
+	for i, c := range cfgs {
+		out[i] = f(res[c])
 	}
 	return out
 }
 
-// Fig2a reproduces Figure 2a: weak-scaling per-iteration simulation,
-// write, and communication times.
-func Fig2a(o Options) (*Table, error) {
-	o.defaults()
-	pts := weakPoints(o)
-	res, err := collect(o, []System{PostHocNewIPCA, DEISA1, DEISA3}, pts,
-		func(int) int64 { return o.BlockBytes })
-	if err != nil {
-		return nil, err
+// workers is the analytics side paired with p simulation processes.
+func workers(p int) int { return max(p/2, 1) }
+
+// point is one system at p processes, workers(p) workers and the given
+// block; the view sets the seed.
+func point(o Options, sys System, p int, block int64) Config {
+	return Config{
+		System: sys, Ranks: p, Workers: workers(p),
+		Timesteps: o.Timesteps, BlockBytes: block, Model: o.Model,
 	}
-	n := len(pts)
-	return &Table{
-		Title:  fmt.Sprintf("Fig 2a — weak scaling, simulation side, %d MiB per process (s/iteration)", o.BlockBytes/MiB),
-		XLabel: "Processes",
-		YLabel: "s/iter",
-		XTicks: ticks(pts, 0),
-		Series: []Series{
-			series("Simulation", n, func(p int) []float64 {
-				return pluck(res[DEISA3], p, func(r *Result) float64 { return r.SimStepMean })
-			}),
-			series("Post Hoc Write", n, func(p int) []float64 {
-				return pluck(res[PostHocNewIPCA], p, func(r *Result) float64 { return r.CommMean })
-			}),
-			series("DEISA1 Communication", n, func(p int) []float64 {
-				return pluck(res[DEISA1], p, func(r *Result) float64 { return r.CommMean })
-			}),
-			series("DEISA3 Communication", n, func(p int) []float64 {
-				return pluck(res[DEISA3], p, func(r *Result) float64 { return r.CommMean })
-			}),
-		},
-	}, nil
 }
 
-// Fig2b reproduces Figure 2b: weak-scaling analytics durations.
-func Fig2b(o Options) (*Table, error) {
-	o.defaults()
-	pts := weakPoints(o)
-	res, err := collect(o, []System{PostHocOldIPCA, PostHocNewIPCA, DEISA1, DEISA3}, pts,
-		func(int) int64 { return o.BlockBytes })
-	if err != nil {
-		return nil, err
-	}
-	n := len(pts)
-	mk := func(label string, sys System) Series {
-		return series(label, n, func(p int) []float64 {
-			return pluck(res[sys], p, func(r *Result) float64 { return r.AnalyticsTime })
-		})
-	}
-	return &Table{
-		Title:  fmt.Sprintf("Fig 2b — weak scaling, analytics, %d MiB per process (s)", o.BlockBytes/MiB),
-		XLabel: "Workers",
-		YLabel: "s",
-		XTicks: ticks(pts, 1),
-		Series: []Series{
-			mk("Post hoc IPCA", PostHocOldIPCA),
-			mk("Post hoc New IPCA", PostHocNewIPCA),
-			mk("DEISA1 IPCA", DEISA1),
-			mk("DEISA3 New IPCA", DEISA3),
-		},
-	}, nil
+// largest is the largest weak-scaling point, which the headline, the
+// metadata counts and the ablations read.
+func largest(o Options, sys System) Config {
+	return point(o, sys, o.WeakProcs[len(o.WeakProcs)-1], o.BlockBytes)
 }
 
-// Fig3a reproduces Figure 3a: per-process simulation-side bandwidth.
-func Fig3a(o Options) (*Table, error) {
-	o.defaults()
-	pts := weakPoints(o)
-	res, err := collect(o, []System{PostHocNewIPCA, DEISA1, DEISA3}, pts,
-		func(int) int64 { return o.BlockBytes })
-	if err != nil {
-		return nil, err
-	}
-	n := len(pts)
-	mk := func(label string, sys System) Series {
-		return series(label, n, func(p int) []float64 {
-			return pluck(res[sys], p, func(r *Result) float64 { return r.SimBandwidthMiBps() })
-		})
-	}
-	return &Table{
-		Title:  "Fig 3a — weak scaling, communications and I/Os (MiB/s per process)",
-		XLabel: "Processes",
-		YLabel: "MiB/s",
-		XTicks: ticks(pts, 0),
-		Series: []Series{
-			mk("Post Hoc Write", PostHocNewIPCA),
-			mk("DEISA1 Communication", DEISA1),
-			mk("DEISA3 Communication", DEISA3),
-		},
-	}, nil
+func simStep(r *Result) float64       { return r.SimStepMean }
+func commMean(r *Result) float64      { return r.CommMean }
+func analyticsTime(r *Result) float64 { return r.AnalyticsTime }
+
+// curve is one series of a table view: a system and the value read
+// from each of its runs.
+type curve struct {
+	label, unit string
+	sys         System
+	value       func(*Result) float64
 }
 
-// Fig3b reproduces Figure 3b: analytics bandwidth.
-func Fig3b(o Options) (*Table, error) {
-	o.defaults()
-	pts := weakPoints(o)
-	res, err := collect(o, []System{PostHocOldIPCA, PostHocNewIPCA, DEISA1, DEISA3}, pts,
-		func(int) int64 { return o.BlockBytes })
-	if err != nil {
-		return nil, err
-	}
-	n := len(pts)
-	mk := func(label string, sys System) Series {
-		return series(label, n, func(p int) []float64 {
-			return pluck(res[sys], p, func(r *Result) float64 { return r.AnalyticsBandwidthMiBps() })
-		})
-	}
-	return &Table{
-		Title:  "Fig 3b — weak scaling, analytics bandwidth (MiB/s)",
-		XLabel: "Workers",
-		YLabel: "MiB/s",
-		XTicks: ticks(pts, 1),
-		Series: []Series{
-			mk("Post hoc IPCA", PostHocOldIPCA),
-			mk("Post hoc New IPCA", PostHocNewIPCA),
-			mk("DEISA1 IPCA", DEISA1),
-			mk("DEISA3 New IPCA", DEISA3),
-		},
-	}, nil
-}
-
-func strongPoints(o Options) [][2]int {
-	pts := make([][2]int, len(o.StrongProcs))
-	for i, p := range o.StrongProcs {
-		w := p / 2
-		if w < 1 {
-			w = 1
+// tableView declares a table whose cell (curve, x) is the mean ± std of
+// the curve's value over the seeded runs of at(curve's system, x).
+func tableView(o Options, seed func(run int) int64, t Table, at func(sys System, x int) Config, curves ...curve) view {
+	runs := func(c curve, x int) []Config { return seeded(o, at(c.sys, x), seed) }
+	var cfgs []Config
+	for _, c := range curves {
+		for x := range t.XTicks {
+			cfgs = append(cfgs, runs(c, x)...)
 		}
-		pts[i] = [2]int{p, w}
 	}
-	return pts
+	return view{configs: cfgs, render: func(res map[Config]*Result) Output {
+		tab := t
+		for _, c := range curves {
+			s := Series{Label: c.label, Unit: c.unit}
+			for x := range t.XTicks {
+				m, sd := meanStd(values(res, runs(c, x), c.value))
+				s.Mean, s.Std = append(s.Mean, m), append(s.Std, sd)
+			}
+			tab.Series = append(tab.Series, s)
+		}
+		return &tab
+	}}
 }
 
-// Fig4a reproduces Figure 4a: strong-scaling simulation-side cost in
-// core·hours for a fixed problem size.
-func Fig4a(o Options) (*Table, error) {
-	o.defaults()
-	pts := strongPoints(o)
-	block := func(procs int) int64 { return o.StrongTotalBytes / int64(procs) }
-	res, err := collect(o, []System{PostHocNewIPCA, DEISA1, DEISA3}, pts, block)
-	if err != nil {
-		return nil, err
+// couplingCurves are the simulation-side curves of Figs 2a, 3a and 4a.
+func couplingCurves(v func(*Result) float64) []curve {
+	return []curve{
+		{"Post Hoc Write", "", PostHocNewIPCA, v},
+		{"DEISA1 Communication", "", DEISA1, v},
+		{"DEISA3 Communication", "", DEISA3, v},
 	}
-	n := len(pts)
-	return &Table{
-		Title:  fmt.Sprintf("Fig 4a — strong scaling, %d GiB problem, simulation side (core·hours)", o.StrongTotalBytes/GiB),
-		XLabel: "Processes",
-		YLabel: "core·h",
-		XTicks: ticks(pts, 0),
-		Series: []Series{
-			series("Simulation", n, func(p int) []float64 {
-				return pluck(res[DEISA3], p, func(r *Result) float64 { return r.SimComputeCostCoreHours() })
-			}),
-			series("Post Hoc Write", n, func(p int) []float64 {
-				return pluck(res[PostHocNewIPCA], p, func(r *Result) float64 { return r.SimCommCostCoreHours() })
-			}),
-			series("DEISA1 Communication", n, func(p int) []float64 {
-				return pluck(res[DEISA1], p, func(r *Result) float64 { return r.SimCommCostCoreHours() })
-			}),
-			series("DEISA3 Communication", n, func(p int) []float64 {
-				return pluck(res[DEISA3], p, func(r *Result) float64 { return r.SimCommCostCoreHours() })
-			}),
-		},
-	}, nil
 }
 
-// Fig4b reproduces Figure 4b: strong-scaling analytics cost in
-// core·hours.
-func Fig4b(o Options) (*Table, error) {
-	o.defaults()
-	pts := strongPoints(o)
-	block := func(procs int) int64 { return o.StrongTotalBytes / int64(procs) }
-	res, err := collect(o, []System{PostHocOldIPCA, PostHocNewIPCA, DEISA1, DEISA3}, pts, block)
-	if err != nil {
-		return nil, err
+// analyticsCurves are the analytics-side curves of Figs 2b, 3b and 4b.
+func analyticsCurves(v func(*Result) float64) []curve {
+	return []curve{
+		{"Post hoc IPCA", "", PostHocOldIPCA, v},
+		{"Post hoc New IPCA", "", PostHocNewIPCA, v},
+		{"DEISA1 IPCA", "", DEISA1, v},
+		{"DEISA3 New IPCA", "", DEISA3, v},
 	}
-	n := len(pts)
-	mk := func(label string, sys System) Series {
-		return series(label, n, func(p int) []float64 {
-			return pluck(res[sys], p, func(r *Result) float64 { return r.AnalyticsCostCoreHours() })
-		})
+}
+
+// scalingView declares a Fig 2–4 table over the weak-scaling points
+// (fixed block per process) or the strong-scaling ones (fixed problem
+// size). The ticks count processes, or workers when XLabel is "Workers".
+func scalingView(o Options, strong bool, t Table, curves ...curve) view {
+	procs, block := o.WeakProcs, func(int) int64 { return o.BlockBytes }
+	if strong {
+		procs, block = o.StrongProcs, func(p int) int64 { return o.StrongTotalBytes / int64(p) }
 	}
-	return &Table{
-		Title:  fmt.Sprintf("Fig 4b — strong scaling, %d GiB problem, analytics (core·hours)", o.StrongTotalBytes/GiB),
-		XLabel: "Workers",
-		YLabel: "core·h",
-		XTicks: ticks(pts, 1),
-		Series: []Series{
-			mk("Post hoc IPCA", PostHocOldIPCA),
-			mk("Post hoc New IPCA", PostHocNewIPCA),
-			mk("DEISA1 IPCA", DEISA1),
-			mk("DEISA3 New IPCA", DEISA3),
-		},
-	}, nil
+	for _, p := range procs {
+		if t.XLabel == "Workers" {
+			p = workers(p)
+		}
+		t.XTicks = append(t.XTicks, strconv.Itoa(p))
+	}
+	return tableView(o, figureSeed, t, func(sys System, x int) Config {
+		return point(o, sys, procs[x], block(procs[x]))
+	}, curves...)
 }
 
 // Fig5Run is one panel of Figure 5: per-rank mean and std of the
@@ -517,48 +474,33 @@ type Fig5Run struct {
 	Std    []float64 // per rank
 }
 
-// Fig5 reproduces Figure 5 (Experiment II): per-rank communication-time
+// Fig5Panels is Figure 5 (Experiment II): per-rank communication-time
 // variability for DEISA1/2/3 across independent runs.
-func Fig5(o Options) ([]Fig5Run, error) {
-	o.defaults()
-	systems := []System{DEISA1, DEISA2, DEISA3}
-	out := make([]Fig5Run, len(systems)*o.Runs)
-	err := runPool(o.parallel(), len(out), func(i int) error {
-		sys, run := systems[i/o.Runs], i%o.Runs
-		cfg := Config{
-			System:     sys,
-			Ranks:      o.Fig5Procs,
-			Workers:    o.Fig5Procs / 2,
-			Timesteps:  o.Timesteps,
-			BlockBytes: o.Fig5BlockBytes,
-			Seed:       int64(run*271 + 13),
-			Model:      o.Model,
-		}
-		res, err := Run(cfg)
-		if err != nil {
-			return fmt.Errorf("fig5 %s run %d: %w", sys, run, err)
-		}
-		out[i] = Fig5Run{
-			System: sys,
-			Run:    run,
-			Mean:   res.PerRankCommMean,
-			Std:    res.PerRankCommStd,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+type Fig5Panels []Fig5Run
+
+func fig5(o Options) view {
+	var cfgs []Config
+	for _, sys := range []System{DEISA1, DEISA2, DEISA3} {
+		cfgs = append(cfgs, seeded(o, point(o, sys, o.Fig5Procs, o.Fig5BlockBytes),
+			func(run int) int64 { return int64(run*271 + 13) })...)
 	}
-	return out, nil
+	return view{configs: cfgs, render: func(res map[Config]*Result) Output {
+		panels := make(Fig5Panels, len(cfgs))
+		for i, c := range cfgs {
+			r := res[c]
+			panels[i] = Fig5Run{System: c.System, Run: i % o.Runs, Mean: r.PerRankCommMean, Std: r.PerRankCommStd}
+		}
+		return panels
+	}}
 }
 
-// FormatFig5 renders the Figure 5 panels as a compact summary: per-panel
+// Format renders the Figure 5 panels as a compact summary: per-panel
 // mean of per-rank means, spread across ranks, and the average per-rank
 // std (the paper's "red band").
-func FormatFig5(runs []Fig5Run) string {
+func (p Fig5Panels) Format() string {
 	var b strings.Builder
 	b.WriteString("Fig 5 — per-rank communication time (s): mean over ranks [min..max], avg per-rank std\n")
-	for _, r := range runs {
+	for _, r := range p {
 		ms := vtime.Summarize(r.Mean)
 		ss := vtime.Summarize(r.Std)
 		fmt.Fprintf(&b, "%-8s run %d:  mean %.3f  [%.3f .. %.3f]  band %.4f\n",
@@ -575,31 +517,27 @@ type Headline struct {
 	AnalyticsCostVsPostHoc   float64 // post hoc old-IPCA analytics cost / DEISA3 cost
 }
 
-// ComputeHeadline measures the headline ratios at the largest weak- and
-// strong-scaling configurations.
-func ComputeHeadline(o Options) (*Headline, error) {
-	o.defaults()
-	procs := o.WeakProcs[len(o.WeakProcs)-1]
-	pts := [][2]int{{procs, procs / 2}}
-	res, err := collect(o, []System{PostHocOldIPCA, PostHocNewIPCA, DEISA1, DEISA3}, pts,
-		func(int) int64 { return o.BlockBytes })
-	if err != nil {
-		return nil, err
+// headline reads the ratios off the Fig 2 runs at the largest
+// weak-scaling point.
+func headline(o Options) view {
+	runs := func(sys System) []Config { return seeded(o, largest(o, sys), figureSeed) }
+	var cfgs []Config
+	for _, sys := range []System{PostHocOldIPCA, PostHocNewIPCA, DEISA1, DEISA3} {
+		cfgs = append(cfgs, runs(sys)...)
 	}
-	h := &Headline{}
-	comm1, _ := meanStd(pluck(res[DEISA1], 0, func(r *Result) float64 { return r.CommMean }))
-	comm3, _ := meanStd(pluck(res[DEISA3], 0, func(r *Result) float64 { return r.CommMean }))
-	h.SimSpeedupVsDeisa1 = comm1 / comm3
-	a1, _ := meanStd(pluck(res[DEISA1], 0, func(r *Result) float64 { return r.AnalyticsTime }))
-	a3, _ := meanStd(pluck(res[DEISA3], 0, func(r *Result) float64 { return r.AnalyticsTime }))
-	h.AnalyticsSpeedupVsDeisa1 = a1 / a3
-	wNew, _ := meanStd(pluck(res[PostHocNewIPCA], 0, func(r *Result) float64 { return r.SimCommCostCoreHours() }))
-	c3, _ := meanStd(pluck(res[DEISA3], 0, func(r *Result) float64 { return r.SimCommCostCoreHours() }))
-	h.CostRatioVsPostHocWrite = wNew / c3
-	aOld, _ := meanStd(pluck(res[PostHocOldIPCA], 0, func(r *Result) float64 { return r.AnalyticsCostCoreHours() }))
-	ac3, _ := meanStd(pluck(res[DEISA3], 0, func(r *Result) float64 { return r.AnalyticsCostCoreHours() }))
-	h.AnalyticsCostVsPostHoc = aOld / ac3
-	return h, nil
+	return view{configs: cfgs, render: func(res map[Config]*Result) Output {
+		ratio := func(num, den System, f func(*Result) float64) float64 {
+			a, _ := meanStd(values(res, runs(num), f))
+			b, _ := meanStd(values(res, runs(den), f))
+			return a / b
+		}
+		return &Headline{
+			SimSpeedupVsDeisa1:       ratio(DEISA1, DEISA3, commMean),
+			AnalyticsSpeedupVsDeisa1: ratio(DEISA1, DEISA3, analyticsTime),
+			CostRatioVsPostHocWrite:  ratio(PostHocNewIPCA, DEISA3, (*Result).SimCommCostCoreHours),
+			AnalyticsCostVsPostHoc:   ratio(PostHocOldIPCA, DEISA3, (*Result).AnalyticsCostCoreHours),
+		}
+	}}
 }
 
 // Format renders the headline ratios.
@@ -624,37 +562,23 @@ type MetadataCounts struct {
 	DEISA3External   int64
 }
 
-// ComputeMetadataCounts runs both protocols (concurrently, when the pool
-// allows) and reads their dask/* registry counters.
-func ComputeMetadataCounts(o Options, ranks, workers int) (*MetadataCounts, error) {
-	o.defaults()
-	systems := [2]System{DEISA1, DEISA3}
-	var results [2]*Result
-	err := runPool(o.parallel(), 2, func(i int) error {
-		cfg := Config{
-			System: systems[i], Ranks: ranks, Workers: workers,
-			Timesteps: o.Timesteps, BlockBytes: o.BlockBytes, Seed: 1, Model: o.Model,
+// metadataCounts reads the dask/* registry counters of the first
+// DEISA1 and DEISA3 runs at the largest weak-scaling point.
+func metadataCounts(o Options) view {
+	d1, d3 := largest(o, DEISA1), largest(o, DEISA3)
+	d1.Seed, d3.Seed = figureSeed(0), figureSeed(0)
+	return view{configs: []Config{d1, d3}, render: func(res map[Config]*Result) Output {
+		m1, m3 := res[d1].Metrics, res[d3].Metrics
+		return &MetadataCounts{
+			Timesteps:        o.Timesteps,
+			Ranks:            d1.Ranks,
+			DEISA1Queue:      m1.Counter("dask/queue_ops"),
+			DEISA1Meta:       m1.Counter("dask/metadata_msgs"),
+			DEISA1Heartbeats: m1.Counter("dask/heartbeats"),
+			DEISA3Variable:   m3.Counter("dask/variable_ops"),
+			DEISA3External:   m3.Counter("dask/external_created"),
 		}
-		r, err := Run(cfg)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	m1, m3 := results[0].Metrics, results[1].Metrics
-	return &MetadataCounts{
-		Timesteps:        o.Timesteps,
-		Ranks:            ranks,
-		DEISA1Queue:      m1.Counter("dask/queue_ops"),
-		DEISA1Meta:       m1.Counter("dask/metadata_msgs"),
-		DEISA1Heartbeats: m1.Counter("dask/heartbeats"),
-		DEISA3Variable:   m3.Counter("dask/variable_ops"),
-		DEISA3External:   m3.Counter("dask/external_created"),
-	}, nil
+	}}
 }
 
 // Format renders the metadata comparison.

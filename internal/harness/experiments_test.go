@@ -30,11 +30,32 @@ func seriesByLabel(t *testing.T, tab *Table, label string) Series {
 	return Series{}
 }
 
-func TestFig2aShapes(t *testing.T) {
-	tab, err := Fig2a(testOptions())
+// execute runs the named views as one sweep and returns their outputs.
+func execute(t *testing.T, o Options, names ...string) []Output {
+	t.Helper()
+	s, err := NewSweep(o, names...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	outs, err := s.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
+// viewTable runs one table view on its own.
+func viewTable(t *testing.T, o Options, v view) *Table {
+	t.Helper()
+	outs, err := newSweep(o, v).Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs[0].(*Table)
+}
+
+func TestFig2aShapes(t *testing.T) {
+	tab := execute(t, testOptions(), "2a")[0].(*Table)
 	if len(tab.XTicks) != 2 || tab.XTicks[0] != "4" {
 		t.Fatalf("ticks = %v", tab.XTicks)
 	}
@@ -64,10 +85,7 @@ func TestFig2aShapes(t *testing.T) {
 }
 
 func TestFig2bShapes(t *testing.T) {
-	tab, err := Fig2b(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := execute(t, testOptions(), "2b")[0].(*Table)
 	old := seriesByLabel(t, tab, "Post hoc IPCA")
 	new_ := seriesByLabel(t, tab, "Post hoc New IPCA")
 	d3 := seriesByLabel(t, tab, "DEISA3 New IPCA")
@@ -82,10 +100,7 @@ func TestFig2bShapes(t *testing.T) {
 }
 
 func TestFig3aShapes(t *testing.T) {
-	tab, err := Fig3a(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := execute(t, testOptions(), "3a")[0].(*Table)
 	write := seriesByLabel(t, tab, "Post Hoc Write")
 	d3 := seriesByLabel(t, tab, "DEISA3 Communication")
 	// Post hoc per-process bandwidth decreases when doubling processes.
@@ -99,11 +114,8 @@ func TestFig3aShapes(t *testing.T) {
 }
 
 func TestFig4Shapes(t *testing.T) {
-	o := testOptions()
-	ta, err := Fig4a(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := execute(t, testOptions(), "4a", "4b")
+	ta, tb := outs[0].(*Table), outs[1].(*Table)
 	simS := seriesByLabel(t, ta, "Simulation")
 	// Perfect strong scaling: constant core·hours (within 10%).
 	if rel := simS.Mean[1] / simS.Mean[0]; rel < 0.9 || rel > 1.1 {
@@ -116,10 +128,6 @@ func TestFig4Shapes(t *testing.T) {
 		t.Fatalf("post hoc write cost (%v) not above DEISA3 (%v)", write.Mean, d3.Mean)
 	}
 
-	tb, err := Fig4b(o)
-	if err != nil {
-		t.Fatal(err)
-	}
 	oldC := seriesByLabel(t, tb, "Post hoc IPCA")
 	d3C := seriesByLabel(t, tb, "DEISA3 New IPCA")
 	if oldC.Mean[last] <= d3C.Mean[last] {
@@ -130,10 +138,7 @@ func TestFig4Shapes(t *testing.T) {
 func TestFig5Shapes(t *testing.T) {
 	o := testOptions()
 	o.Fig5BlockBytes = 32 * MiB // large enough for scheduler collisions
-	runs, err := Fig5(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := execute(t, o, "5")[0].(Fig5Panels)
 	if len(runs) != 3*o.Runs {
 		t.Fatalf("got %d panels, want %d", len(runs), 3*o.Runs)
 	}
@@ -152,7 +157,7 @@ func TestFig5Shapes(t *testing.T) {
 	if band[DEISA1] <= band[DEISA3] {
 		t.Fatalf("DEISA1 band (%v) not above DEISA3 (%v)", band[DEISA1], band[DEISA3])
 	}
-	if out := FormatFig5(runs); !strings.Contains(out, "DEISA1") || !strings.Contains(out, "band") {
+	if out := runs.Format(); !strings.Contains(out, "DEISA1") || !strings.Contains(out, "band") {
 		t.Fatal("FormatFig5 output malformed")
 	}
 }
@@ -161,10 +166,7 @@ func TestHeadlineRatios(t *testing.T) {
 	o := testOptions()
 	o.WeakProcs = []int{8}
 	o.BlockBytes = 32 * MiB
-	h, err := ComputeHeadline(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := execute(t, o, "headline")[0].(*Headline)
 	if h.SimSpeedupVsDeisa1 < 1 {
 		t.Fatalf("sim speedup %v < 1", h.SimSpeedupVsDeisa1)
 	}
@@ -181,10 +183,8 @@ func TestHeadlineRatios(t *testing.T) {
 
 func TestMetadataCountsFormulas(t *testing.T) {
 	o := testOptions()
-	mc, err := ComputeMetadataCounts(o, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o.WeakProcs = []int{4} // 4 ranks, 2 workers
+	mc := execute(t, o, "meta")[0].(*MetadataCounts)
 	T, R := int64(o.Timesteps), int64(4)
 	if mc.DEISA1Queue != 2*T*R {
 		t.Fatalf("queue ops %d != 2TR %d", mc.DEISA1Queue, 2*T*R)
@@ -233,5 +233,94 @@ func TestDefaultAndQuickOptions(t *testing.T) {
 	o.defaults()
 	if o.Runs != 3 {
 		t.Fatal("zero Options did not default")
+	}
+}
+
+// TestViewsReadOneRunSet checks that views selected together read the
+// same runs: with one run per configuration, Fig 3a's bandwidth is the
+// block size over Fig 2a's coupling time bit for bit, the headline's
+// coupling ratio is Fig 2a's last column, and the metadata counts are
+// the weak set's first-run counters.
+func TestViewsReadOneRunSet(t *testing.T) {
+	o := testOptions()
+	s, err := NewSweep(o, "2a", "3a", "headline", "meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig2a, fig3a := s.views[0].render(res).(*Table), s.views[1].render(res).(*Table)
+	h, mc := s.views[2].render(res).(*Headline), s.views[3].render(res).(*MetadataCounts)
+	for _, label := range []string{"Post Hoc Write", "DEISA1 Communication", "DEISA3 Communication"} {
+		comm, bw := seriesByLabel(t, fig2a, label), seriesByLabel(t, fig3a, label)
+		for x := range comm.Mean {
+			if want := float64(o.BlockBytes) / MiB / comm.Mean[x]; bw.Mean[x] != want {
+				t.Errorf("%s at %s: Fig 3a %v, Fig 2a gives %v", label, fig2a.XTicks[x], bw.Mean[x], want)
+			}
+		}
+	}
+	d1, d3 := seriesByLabel(t, fig2a, "DEISA1 Communication"), seriesByLabel(t, fig2a, "DEISA3 Communication")
+	last := len(d1.Mean) - 1
+	if want := d1.Mean[last] / d3.Mean[last]; h.SimSpeedupVsDeisa1 != want {
+		t.Errorf("headline coupling ratio %v, Fig 2a gives %v", h.SimSpeedupVsDeisa1, want)
+	}
+	first := func(sys System) *Result {
+		c := largest(o, sys)
+		c.Seed = figureSeed(0)
+		return res[c]
+	}
+	m1, m3 := first(DEISA1).Metrics, first(DEISA3).Metrics
+	if mc.DEISA1Queue != m1.Counter("dask/queue_ops") || mc.DEISA1Meta != m1.Counter("dask/metadata_msgs") ||
+		mc.DEISA3Variable != m3.Counter("dask/variable_ops") || mc.DEISA3External != m3.Counter("dask/external_created") {
+		t.Errorf("metadata counts %+v differ from the weak set's first runs", mc)
+	}
+	// Three systems at each weak point, plus the headline's post hoc
+	// IPCA run at the largest.
+	if got, want := s.Runs(), 3*len(o.WeakProcs)+1; got != want {
+		t.Errorf("sweep ran %d simulations, want %d", got, want)
+	}
+}
+
+// TestSweepConfigCounts counts, without running anything, the distinct
+// configurations a selection runs. -all at paper scale is the 60 weak
+// runs (4 systems × 5 points × 3), the 36 strong runs (4 × 3 × 3) less
+// the 12 at 64 processes, which are the weak ones (8 GiB / 64 =
+// 128 MiB), and the 9 Fig 5 runs. No single view runs more than it did
+// when each view ran its own sweep.
+func TestSweepConfigCounts(t *testing.T) {
+	count := func(o Options, names ...string) int {
+		s, err := NewSweep(o, names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Runs()
+	}
+	all := []string{"2a", "2b", "3a", "3b", "4a", "4b", "5", "meta", "headline"}
+	o := DefaultOptions()
+	weak, strong, fig5 := count(o, "2b"), count(o, "4b"), count(o, "5")
+	if weak != 60 || strong != 36 || fig5 != 9 || count(o, "2b", "4b") != 84 {
+		t.Fatalf("weak %d, strong %d, fig5 %d, weak+strong %d; want 60, 36, 9, 84",
+			weak, strong, fig5, count(o, "2b", "4b"))
+	}
+	if got := count(o, all...); got != 93 {
+		t.Fatalf("-all runs %d simulations, want 93", got)
+	}
+	if got := count(QuickOptions(), all...); got != 38 {
+		t.Fatalf("-quick -all runs %d simulations, want 38", got)
+	}
+	before := map[string]int{
+		"2a": 45, "2b": 60, "3a": 45, "3b": 60, "4a": 27, "4b": 36, "5": 9, "meta": 2, "headline": 12,
+		"ablation-heartbeat": 15, "ablation-metadata": 18, "ablation-contract": 12,
+		"ablation-placement": 6, "ablation-fuse": 6,
+	}
+	for name, limit := range before {
+		if got := count(o, name); got > limit {
+			t.Errorf("%s runs %d simulations, more than %d", name, got, limit)
+		}
+	}
+	if _, err := NewSweep(o, "2a", "9"); err == nil {
+		t.Fatal("unknown view accepted")
 	}
 }

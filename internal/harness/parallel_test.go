@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -50,39 +51,41 @@ func fingerprint(r *Result) string {
 	return b.String()
 }
 
-// TestSweepParallelDeterminism asserts the tentpole's parallel-harness
-// contract: every deterministic run output of a concurrent sweep is
-// byte-identical to the serial sweep, for any pool width, and every slot
-// of the (system, point, run) table is filled in its pre-assigned place.
+// TestSweepParallelDeterminism asserts the engine's parallel contract:
+// every deterministic run output of a pooled sweep is byte-identical to
+// the serial sweep, for any pool width, each result sits under its own
+// configuration, and an ablation table's deterministic series (blocks
+// shipped, fabric bytes) render identically.
 func TestSweepParallelDeterminism(t *testing.T) {
-	pts := [][2]int{{2, 1}, {4, 2}}
-	systems := []System{PostHocNewIPCA, DEISA1, DEISA3}
-	block := func(int) int64 { return 4 * MiB }
-	serial, err := collect(tinyOptions(1), systems, pts, block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 8} {
-		concurrent, err := collect(tinyOptions(par), systems, pts, block)
+	sweep := func(par int) (*Sweep, map[Config]*Result, *Table) {
+		o := tinyOptions(par)
+		s := newSweep(o, views["2a"](o), ablationContract(o, []float64{0.5, 1}))
+		res, err := s.run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sys := range systems {
-			for pi := range pts {
-				for run := 0; run < 2; run++ {
-					a, b := serial[sys][pi][run], concurrent[sys][pi][run]
-					if a == nil || b == nil {
-						t.Fatalf("parallel=%d: missing slot %s/%v/run%d", par, sys, pts[pi], run)
-					}
-					if b.Config != a.Config {
-						t.Fatalf("parallel=%d: slot %s/%v/run%d holds config %+v, want %+v",
-							par, sys, pts[pi], run, b.Config, a.Config)
-					}
-					if got, want := fingerprint(b), fingerprint(a); got != want {
-						t.Fatalf("parallel=%d: %s/%v/run%d diverged from serial:\n%s\nvs\n%s",
-							par, sys, pts[pi], run, got, want)
-					}
-				}
+		return s, res, s.views[1].render(res).(*Table)
+	}
+	s, serial, serialTab := sweep(1)
+	for _, par := range []int{2, 8} {
+		_, concurrent, tab := sweep(par)
+		for _, c := range s.configs {
+			a, b := serial[c], concurrent[c]
+			if a == nil || b == nil {
+				t.Fatalf("parallel=%d: missing result for %s P=%d seed %d", par, c.System, c.Ranks, c.Seed)
+			}
+			if b.Config != a.Config {
+				t.Fatalf("parallel=%d: result holds config %+v, want %+v", par, b.Config, a.Config)
+			}
+			if got, want := fingerprint(b), fingerprint(a); got != want {
+				t.Fatalf("parallel=%d: %s P=%d seed %d diverged from serial:\n%s\nvs\n%s",
+					par, c.System, c.Ranks, c.Seed, got, want)
+			}
+		}
+		for _, label := range []string{"Blocks shipped", "Fabric GiB"} {
+			got, want := seriesByLabel(t, tab, label), seriesByLabel(t, serialTab, label)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("parallel=%d: %s = %+v, serial %+v", par, label, got, want)
 			}
 		}
 	}

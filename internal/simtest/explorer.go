@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"deisago/internal/chaos"
+	"deisago/internal/dask"
 	"deisago/internal/harness"
 )
 
@@ -98,37 +99,44 @@ func RunPipeline(sp Spec) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	var seeded *SeededBreaker
-	if sp.Overrides != "" {
-		o, err := ParseOverrides(sp.Overrides)
-		if err != nil {
-			return nil, err
-		}
-		cfg.TieBreak = OverrideBreaker{O: o}
-	} else {
-		seeded = NewSeededBreaker(sp.Seed)
-		if sp.Trace != nil {
-			seeded.SetTrace(sp.Trace)
-		}
-		cfg.TieBreak = seeded
+	tb, decisions, err := schedule(sp.Seed, sp.Overrides, sp.Trace)
+	if err != nil {
+		return nil, err
 	}
+	cfg.TieBreak = tb
 	res, err := harness.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := Replay(res.AuditLog, res.AuditTruncated)
+	return outcome(Fingerprint(res), res.AuditLog, res.AuditTruncated, decisions)
+}
+
+// schedule resolves a spec's tie-breaking: an explicit override set, or
+// a seeded breaker that records (and, given a trace, streams) its
+// decisions. decisions reports the schedule taken once the run is over.
+func schedule(seed int64, overrides string, trace io.Writer) (tb dask.TieBreaker, decisions func() string, err error) {
+	if overrides != "" {
+		o, err := ParseOverrides(overrides)
+		if err != nil {
+			return nil, nil, err
+		}
+		return OverrideBreaker{O: o}, func() string { return overrides }, nil
+	}
+	b := NewSeededBreaker(seed)
+	if trace != nil {
+		b.SetTrace(trace)
+	}
+	return b, func() string { return b.Decisions().Format() }, nil
+}
+
+// outcome replays a run's transition log through the reference model
+// and packages the report with the run's fingerprint and schedule.
+func outcome(fingerprint string, log []dask.Transition, truncated int64, decisions func() string) (*Outcome, error) {
+	rep, err := Replay(log, truncated)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{
-		Fingerprint: Fingerprint(res),
-		Decisions:   sp.Overrides,
-		Model:       rep,
-	}
-	if seeded != nil {
-		out.Decisions = seeded.Decisions().Format()
-	}
-	return out, nil
+	return &Outcome{Fingerprint: fingerprint, Decisions: decisions(), Model: rep}, nil
 }
 
 // Fingerprint digests a run's schedule-invariant observables. Values
@@ -205,18 +213,25 @@ func (r *ExploreReport) Failed(seeds []int64) (int64, string, bool) {
 // every outcome against the first successful one. run == nil uses the
 // in-process pipeline.
 func Explore(sp Spec, seeds []int64, run Runner) (*ExploreReport, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("simtest: explore needs at least one seed")
-	}
 	if run == nil {
 		run = RunPipeline
 	}
+	return explore(seeds, func(seed int64) (*Outcome, error) {
+		s := sp
+		s.Seed, s.Overrides = seed, ""
+		return run(s)
+	})
+}
+
+// explore runs one seeded schedule per seed and compares every outcome
+// against the first successful one.
+func explore(seeds []int64, run func(seed int64) (*Outcome, error)) (*ExploreReport, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("simtest: explore needs at least one seed")
+	}
 	rep := &ExploreReport{Failures: map[int64]string{}}
 	for _, seed := range seeds {
-		s := sp
-		s.Seed = seed
-		s.Overrides = ""
-		out, err := run(s)
+		out, err := run(seed)
 		if err != nil {
 			rep.Failures[seed] = err.Error()
 			rep.Outcomes = append(rep.Outcomes, nil)

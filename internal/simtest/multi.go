@@ -101,37 +101,16 @@ func RunMultiPipeline(sp MultiSpec) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	var seeded *SeededBreaker
-	if sp.Overrides != "" {
-		o, err := ParseOverrides(sp.Overrides)
-		if err != nil {
-			return nil, err
-		}
-		cfg.TieBreak = OverrideBreaker{O: o}
-	} else {
-		seeded = NewSeededBreaker(sp.Seed)
-		if sp.Trace != nil {
-			seeded.SetTrace(sp.Trace)
-		}
-		cfg.TieBreak = seeded
+	tb, decisions, err := schedule(sp.Seed, sp.Overrides, sp.Trace)
+	if err != nil {
+		return nil, err
 	}
+	cfg.TieBreak = tb
 	res, err := harness.RunMultiJob(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := Replay(res.AuditLog, res.AuditTruncated)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{
-		Fingerprint: MultiFingerprint(res),
-		Decisions:   sp.Overrides,
-		Model:       rep,
-	}
-	if seeded != nil {
-		out.Decisions = seeded.Decisions().Format()
-	}
-	return out, nil
+	return outcome(MultiFingerprint(res), res.AuditLog, res.AuditTruncated, decisions)
 }
 
 // MultiFingerprint digests a multi-tenant run's schedule-invariant
@@ -161,32 +140,12 @@ type MultiRunner func(MultiSpec) (*Outcome, error)
 // compares every outcome against the first successful one, exactly as
 // Explore does for single-job specs.
 func ExploreMulti(sp MultiSpec, seeds []int64, run MultiRunner) (*ExploreReport, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("simtest: explore needs at least one seed")
-	}
 	if run == nil {
 		run = RunMultiPipeline
 	}
-	rep := &ExploreReport{Failures: map[int64]string{}}
-	for _, seed := range seeds {
+	return explore(seeds, func(seed int64) (*Outcome, error) {
 		s := sp
-		s.Seed = seed
-		s.Overrides = ""
-		out, err := run(s)
-		if err != nil {
-			rep.Failures[seed] = err.Error()
-			rep.Outcomes = append(rep.Outcomes, nil)
-			continue
-		}
-		rep.Schedules++
-		rep.Outcomes = append(rep.Outcomes, out)
-		if rep.Reference == nil {
-			rep.Reference = out
-			continue
-		}
-		if out.Fingerprint != rep.Reference.Fingerprint {
-			rep.Divergent = append(rep.Divergent, seed)
-		}
-	}
-	return rep, nil
+		s.Seed, s.Overrides = seed, ""
+		return run(s)
+	})
 }

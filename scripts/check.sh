@@ -4,13 +4,14 @@
 # and multi-tenant explorers), a race-detector pass over the packages
 # with parallel kernels or concurrent runtime machinery (admission
 # queue, FCFS resources and MPI rank goroutines included; with the
-# scheduler invariant auditor on and a fixed chaos seed), the CLI chaos
-# acceptance run, short fuzz smokes of the scheduler auditor and the
-# worker memory governor, the planted-mutant self-test of the
-# schedule-space oracle, and the benchmark's own tests (bench/ is a
-# module of its own; run the benchmark itself with `bash bench/run.sh`,
-# see BENCHMARK.json). Each stage after the coverage pass differs from
-# it in flags, build tags or environment.
+# scheduler invariant auditor on and a fixed chaos seed), the CLI
+# acceptance run (chaos plus every quick-scale view, auditor on), short
+# fuzz smokes of the scheduler auditor and the worker memory governor,
+# the planted-mutant self-test of the schedule-space oracle, and the
+# benchmark's own tests (bench/ is a module of its own; run the
+# benchmark itself with `bash bench/run.sh`, see BENCHMARK.json). Each
+# stage after the coverage pass differs from it in flags, build tags or
+# environment.
 # Usage: ./scripts/check.sh
 set -eu
 
@@ -89,8 +90,10 @@ DEISA_AUDIT=1 go test -race \
     ./internal/vtime \
     ./internal/mpi
 
-echo "== chaos acceptance (fixed seed, auditor on) =="
-DEISA_AUDIT=1 go run ./cmd/experiments -quick -chaos-seed 7
+echo "== CLI acceptance: chaos run and every view (fixed seed, auditor on) =="
+# One invocation runs the chaos scenario and then every figure,
+# ablation and summary as views of one run set, each configuration once.
+DEISA_AUDIT=1 go run ./cmd/experiments -quick -all -ablation all -chaos-seed 7
 
 echo "== fuzz smoke: scheduler auditor =="
 go test -fuzz=FuzzSchedulerAudit -fuzztime=5s -run '^$' ./internal/dask
@@ -109,7 +112,7 @@ echo "== simtest planted-mutant self-test =="
 go test -tags daskmutant -count=1 -run 'TestMutantCaughtAndShrunk' ./internal/simtest
 
 echo "== harness parallel-determinism gate (-race) =="
-# The sweep helpers fan independent simulations onto a bounded pool;
+# The sweep engine fans independent simulations onto a bounded pool;
 # every deterministic run output (canonical counters, analytics values,
 # chaos logs) must be byte-identical to serial execution, under the race
 # detector.
