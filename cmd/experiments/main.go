@@ -99,6 +99,9 @@ func run(args []string, stdout io.Writer) error {
 	if *parallel < 0 {
 		return fmt.Errorf("%w: -parallel %d is negative", errUsage, *parallel)
 	}
+	if *jobs < 0 {
+		return fmt.Errorf("%w: -jobs %d is negative", errUsage, *jobs)
+	}
 	opts.Parallel = *parallel
 	if !*all && *fig == "" && !*headline && *ablation == "" && *chaosSeed == 0 && *chaosPlan == "" &&
 		*system == "" && *jobs == 0 {
@@ -363,6 +366,9 @@ func runMultiJob(stdout io.Writer, opts harness.Options, n int, weightsCSV strin
 			return err
 		}
 		cfg.ChaosPlan = plan
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	res, err := harness.RunMultiJob(cfg)
 	if err != nil {

@@ -64,6 +64,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"weight with trailing garbage": {"-quick", "-jobs", "2", "-tenant-weights", "1,2x"},
 		"negative parallel":            {"-quick", "-parallel", "-3", "-fig", "meta"},
 		"unknown figure after another": {"-quick", "-headline", "-fig", "9"},
+		"negative jobs":                {"-quick", "-jobs", "-1"},
+		"negative jobs cap":            {"-quick", "-jobs", "2", "-jobs-max-concurrent", "-2"},
+		"non-finite weight":            {"-quick", "-jobs", "2", "-tenant-weights", "1,NaN"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var out bytes.Buffer

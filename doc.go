@@ -20,9 +20,8 @@
 //     Heat2D miniapp;
 //   - internal/pdi — the PDI data interface with a YAML-subset parser and
 //     $-expression evaluator (Listing 1);
-//   - internal/ml, internal/linalg, internal/ndarray — incremental PCA
-//     (old per-batch and new whole-graph drivers), SVD, and dense
-//     n-dimensional arrays;
+//   - internal/ml, internal/linalg, internal/ndarray — incremental PCA,
+//     SVD, and dense n-dimensional arrays;
 //   - internal/netsim, internal/pfs, internal/h5, internal/cluster,
 //     internal/vtime — the simulated platform: pruned fat-tree fabric,
 //     Lustre-like parallel file system, HDF5-like chunked containers,

@@ -11,7 +11,6 @@ import (
 	"deisago/internal/ndarray"
 	"deisago/internal/netsim"
 	"deisago/internal/taskgraph"
-	"deisago/internal/vtime"
 )
 
 func testCluster(t *testing.T, nWorkers int) (*dask.Cluster, *dask.Client) {
@@ -33,20 +32,11 @@ func testCluster(t *testing.T, nWorkers int) (*dask.Cluster, *dask.Client) {
 	return c, c.NewClient("client", 1, math.Inf(1))
 }
 
-// chunkFilled builds an array whose chunk tasks return arrays filled with
-// a deterministic value derived from the chunk coordinate.
+// chunkFilled builds an array whose chunk (i,j,...) is the external key
+// "<name>-i.j...".
 func chunkFilled(name string, shape, chunks []int) *Chunked {
-	return FromChunkTasks(name, shape, chunks, func(idx, ext []int) (taskgraph.Fn, vtime.Dur) {
-		v := 0.0
-		for _, x := range idx {
-			v = v*10 + float64(x+1)
-		}
-		extent := append([]int(nil), ext...)
-		return func([]any) (any, error) {
-			a := ndarray.New(extent...)
-			a.Fill(v)
-			return a, nil
-		}, 1e-4
+	return FromKeys(name, shape, chunks, func(idx []int) taskgraph.Key {
+		return taskgraph.Key(name + "-" + coordString(idx))
 	})
 }
 
@@ -56,18 +46,12 @@ func TestGridAndExtents(t *testing.T) {
 	if g[0] != 3 || g[1] != 3 {
 		t.Fatalf("Grid = %v", g)
 	}
-	if a.NumChunks() != 9 {
-		t.Fatalf("NumChunks = %d", a.NumChunks())
-	}
 	ext := a.ChunkExtent([]int{2, 2})
 	if ext[0] != 1 || ext[1] != 1 {
 		t.Fatalf("edge extent = %v", ext)
 	}
-	if a.ChunkBytes([]int{0, 0}) != 2*3*8 {
-		t.Fatalf("ChunkBytes = %d", a.ChunkBytes([]int{0, 0}))
-	}
-	if a.ChunkBytes([]int{2, 2}) != 8 {
-		t.Fatalf("edge ChunkBytes = %d", a.ChunkBytes([]int{2, 2}))
+	if ext := a.ChunkExtent([]int{0, 0}); ext[0] != 2 || ext[1] != 3 {
+		t.Fatalf("interior extent = %v", ext)
 	}
 }
 
@@ -75,114 +59,12 @@ func TestFromKeysExternals(t *testing.T) {
 	a := FromKeys("g", []int{2, 4}, []int{1, 2}, func(idx []int) taskgraph.Key {
 		return taskgraph.Key(fmt.Sprintf("deisa-g-%d.%d", idx[0], idx[1]))
 	})
-	if a.Graph().Len() != 0 {
-		t.Fatal("external array should have empty graph")
-	}
-	ext := a.Externals()
-	if len(ext) != 4 {
-		t.Fatalf("externals = %v", ext)
+	if keys := a.SelectAll().Keys(); len(keys) != 4 || keys[0] != "deisa-g-0.0" {
+		t.Fatalf("keys = %v", keys)
 	}
 	if a.ChunkKey(1, 1) != "deisa-g-1.1" {
 		t.Fatalf("ChunkKey = %s", a.ChunkKey(1, 1))
 	}
-}
-
-func TestSumAllAgainstCluster(t *testing.T) {
-	_, cl := testCluster(t, 2)
-	a := chunkFilled("a", []int{4, 4}, []int{2, 2})
-	g, key := a.SumAll("total")
-	futs, err := cl.Submit(g, []taskgraph.Key{key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := cl.Gather(futs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chunk values: (0,0)->11*4, (0,1)->12*4, (1,0)->21*4, (1,1)->22*4.
-	want := 4.0 * (11 + 12 + 21 + 22)
-	if vals[0].(float64) != want {
-		t.Fatalf("sum = %v, want %v", vals[0], want)
-	}
-}
-
-func TestMeanAll(t *testing.T) {
-	_, cl := testCluster(t, 2)
-	a := chunkFilled("m", []int{2, 2}, []int{2, 2}) // single chunk filled with 11
-	g, key := a.MeanAll("avg")
-	futs, err := cl.Submit(g, []taskgraph.Key{key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := cl.Gather(futs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0].(float64) != 11 {
-		t.Fatalf("mean = %v, want 11", vals[0])
-	}
-}
-
-func TestMapElementwise(t *testing.T) {
-	_, cl := testCluster(t, 2)
-	a := chunkFilled("a", []int{2, 4}, []int{2, 2})
-	b := a.Map("b", func(x float64) float64 { return x * 10 })
-	g, key := b.SumAll("bsum")
-	futs, err := cl.Submit(g, []taskgraph.Key{key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := cl.Gather(futs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 10.0 * 4 * (11 + 12)
-	if vals[0].(float64) != want {
-		t.Fatalf("mapped sum = %v, want %v", vals[0], want)
-	}
-}
-
-func TestSlabTaskAssembles(t *testing.T) {
-	_, cl := testCluster(t, 2)
-	// (t, X, Y) = (2, 4, 4), chunks (1, 2, 4): two blocks per timestep.
-	a := FromChunkTasks("f", []int{2, 4, 4}, []int{1, 2, 4}, func(idx, ext []int) (taskgraph.Fn, vtime.Dur) {
-		v := float64(idx[0]*10 + idx[1])
-		extent := append([]int(nil), ext...)
-		return func([]any) (any, error) {
-			arr := ndarray.New(extent...)
-			arr.Fill(v)
-			return arr, nil
-		}, 1e-4
-	})
-	g := taskgraph.New()
-	g.Merge(a.Graph())
-	key := a.SlabTask(g, 1)
-	futs, err := cl.Submit(g, []taskgraph.Key{key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := cl.Gather(futs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slab := vals[0].(*ndarray.Array)
-	if slab.NDim() != 2 || slab.Dim(0) != 4 || slab.Dim(1) != 4 {
-		t.Fatalf("slab shape = %v", slab.Shape())
-	}
-	// Rows 0-1 from block (1,0)=10, rows 2-3 from block (1,1)=11.
-	if slab.At(0, 0) != 10 || slab.At(3, 3) != 11 {
-		t.Fatalf("slab values wrong: %v", slab)
-	}
-}
-
-func TestSlabTaskRequiresTimeChunking(t *testing.T) {
-	a := chunkFilled("a", []int{4, 4}, []int{2, 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SlabTask with chunk[0] != 1 did not panic")
-		}
-	}()
-	a.SlabTask(taskgraph.New(), 0)
 }
 
 func TestSelectAll(t *testing.T) {
@@ -190,9 +72,6 @@ func TestSelectAll(t *testing.T) {
 	sel := a.SelectAll()
 	if len(sel.Chunks) != 4 {
 		t.Fatalf("SelectAll chunks = %d", len(sel.Chunks))
-	}
-	if sel.Bytes() != 4*4*8 {
-		t.Fatalf("Bytes = %d", sel.Bytes())
 	}
 	if len(sel.Keys()) != 4 {
 		t.Fatal("Keys length")
@@ -211,8 +90,8 @@ func TestSelectRanges(t *testing.T) {
 	if len(sel2.Chunks) != 1 || sel2.Chunks[0][0] != 1 || sel2.Chunks[0][1] != 2 {
 		t.Fatalf("point selection = %v", sel2.Chunks)
 	}
-	if !sel2.Contains([]int{1, 2}) || sel2.Contains([]int{0, 0}) {
-		t.Fatal("Contains wrong")
+	if keys := sel2.Keys(); len(keys) != 1 || keys[0] != "a-1.2" {
+		t.Fatalf("point selection keys = %v", keys)
 	}
 	// A range straddling a chunk boundary selects both.
 	sel3 := a.Select(Range{1, 3}, Range{0, 1})
@@ -239,8 +118,8 @@ func TestSelectPanics(t *testing.T) {
 	}
 }
 
-// Property: Select over the full extent equals SelectAll; chunk bytes of
-// any selection never exceed the array's total bytes.
+// Property: Select over the full extent equals SelectAll; any selection
+// is a non-empty subset of it.
 func TestSelectQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -250,7 +129,7 @@ func TestSelectQuick(t *testing.T) {
 		cc := rng.Intn(cols) + 1
 		a := chunkFilled("q", []int{rows, cols}, []int{cr, cc})
 		full := a.Select(Range{0, rows}, Range{0, cols})
-		if len(full.Chunks) != a.NumChunks() {
+		if len(full.Chunks) != len(a.SelectAll().Chunks) {
 			return false
 		}
 		r0 := rng.Intn(rows)
@@ -258,7 +137,7 @@ func TestSelectQuick(t *testing.T) {
 		c0 := rng.Intn(cols)
 		c1 := c0 + 1 + rng.Intn(cols-c0)
 		sub := a.Select(Range{r0, r1}, Range{c0, c1})
-		if len(sub.Chunks) == 0 || sub.Bytes() > full.Bytes() {
+		if len(sub.Chunks) == 0 || len(sub.Chunks) > len(full.Chunks) {
 			return false
 		}
 		// Every selected chunk truly intersects the range.
@@ -308,8 +187,15 @@ func TestExternalArrayEndToEnd(t *testing.T) {
 	if _, err := cl.ExternalFutures(keys); err != nil {
 		t.Fatal(err)
 	}
-	g, sumKey := a.SumAll("tot")
-	futs, err := cl.Submit(g, []taskgraph.Key{sumKey})
+	g := taskgraph.New()
+	g.AddFn("tot", a.SelectAll().Keys(), func(in []any) (any, error) {
+		var s float64
+		for _, x := range in {
+			s += x.(*ndarray.Array).Sum()
+		}
+		return s, nil
+	}, 1e-4)
+	futs, err := cl.Submit(g, []taskgraph.Key{"tot"})
 	if err != nil {
 		t.Fatal(err)
 	}

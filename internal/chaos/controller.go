@@ -127,9 +127,6 @@ func NewController(plan *Plan, cluster *dask.Cluster) (*Controller, error) {
 	return ctrl, nil
 }
 
-// Plan returns the controller's plan.
-func (c *Controller) Plan() *Plan { return c.plan }
-
 // OnPublish implements core.PublishInterceptor: it fires pending kill
 // events whose (rank, step) trigger matches, then returns the drop/delay
 // verdict for this attempt. Decisions depend only on the logical
@@ -224,22 +221,6 @@ func (c *Controller) KillErrs() []error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]error(nil), c.killErrs...)
-}
-
-// PendingKills returns the plan indices of kill events whose (rank,
-// step) trigger never occurred — e.g. the rank published fewer steps
-// than the plan assumed.
-func (c *Controller) PendingKills() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []int
-	for i, ev := range c.plan.Events {
-		if ev.Kind == KindKillWorker && !c.killFired[i] {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Log returns the executed-fault log, deduplicated and sorted by (plan

@@ -54,7 +54,7 @@ func TestChaosPlanPreservesResults(t *testing.T) {
 			t.Logf("shape %+v: plan: %v", s, err)
 			return false
 		}
-		report, err := harness.RunChaos(cfg, plan)
+		report, err := harness.RunChaosParallel(cfg, plan, 1)
 		if err != nil {
 			t.Logf("shape %+v plan %s: %v", s, plan, err)
 			return false

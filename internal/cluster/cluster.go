@@ -24,23 +24,20 @@ import (
 // drawn. It owns the network fabric.
 type Machine struct {
 	fabric *netsim.Fabric
-	cores  int // cores per node, for core-hour accounting
 }
 
-// NewMachine builds a machine with numNodes nodes, coresPerNode cores per
-// node, and the given fabric configuration.
+// NewMachine builds a machine with numNodes nodes of coresPerNode cores
+// each (which must be positive; the harness model does the core-hour
+// accounting) and the given fabric configuration.
 func NewMachine(cfg netsim.Config, numNodes, coresPerNode int) *Machine {
 	if coresPerNode <= 0 {
 		panic("cluster: coresPerNode must be positive")
 	}
-	return &Machine{fabric: netsim.New(cfg, numNodes), cores: coresPerNode}
+	return &Machine{fabric: netsim.New(cfg, numNodes)}
 }
 
 // Fabric returns the machine's interconnect.
 func (m *Machine) Fabric() *netsim.Fabric { return m.fabric }
-
-// CoresPerNode returns the number of cores on each node.
-func (m *Machine) CoresPerNode() int { return m.cores }
 
 // NumNodes returns the machine size.
 func (m *Machine) NumNodes() int { return m.fabric.NumNodes() }
@@ -48,8 +45,7 @@ func (m *Machine) NumNodes() int { return m.fabric.NumNodes() }
 // Allocation is an ordered set of machine nodes granted to one run.
 // Index 0 is "the first node of the allocation".
 type Allocation struct {
-	machine *Machine
-	nodes   []netsim.NodeID
+	nodes []netsim.NodeID
 }
 
 // Allocate draws n distinct nodes from the machine. The choice is
@@ -68,11 +64,8 @@ func (m *Machine) Allocate(n int, seed int64) *Allocation {
 	for i, p := range perm {
 		nodes[i] = netsim.NodeID(p)
 	}
-	return &Allocation{machine: m, nodes: nodes}
+	return &Allocation{nodes: nodes}
 }
-
-// Machine returns the machine this allocation came from.
-func (a *Allocation) Machine() *Machine { return a.machine }
 
 // Size returns the number of allocated nodes.
 func (a *Allocation) Size() int { return len(a.nodes) }
@@ -83,24 +76,6 @@ func (a *Allocation) Node(i int) netsim.NodeID {
 		panic(fmt.Sprintf("cluster: allocation index %d out of range [0,%d)", i, len(a.nodes)))
 	}
 	return a.nodes[i]
-}
-
-// Nodes returns a copy of the allocated node list.
-func (a *Allocation) Nodes() []netsim.NodeID {
-	out := make([]netsim.NodeID, len(a.nodes))
-	copy(out, a.nodes)
-	return out
-}
-
-// Switches returns the number of distinct leaf switches spanned by the
-// allocation — the quantity the paper correlates with Figure 5
-// variability.
-func (a *Allocation) Switches() int {
-	seen := map[int]bool{}
-	for _, n := range a.nodes {
-		seen[a.machine.fabric.Leaf(n)] = true
-	}
-	return len(seen)
 }
 
 // Placement assigns every workflow process to a physical node following
@@ -152,10 +127,4 @@ func (a *Allocation) Place(l Layout) Placement {
 		p.RankNodes = append(p.RankNodes, a.Node(next+r/l.RanksPerNode))
 	}
 	return p
-}
-
-// CoreHours converts a duration in virtual seconds on n nodes of this
-// machine into core-hours, the cost unit of the paper's Figure 4.
-func (m *Machine) CoreHours(seconds float64, nodes int) float64 {
-	return seconds / 3600 * float64(nodes*m.cores)
 }

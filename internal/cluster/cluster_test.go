@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -71,14 +70,6 @@ func TestAllocateWholeMachine(t *testing.T) {
 	}
 }
 
-func TestSwitches(t *testing.T) {
-	m := testMachine(16) // 4 leaves
-	a := m.Allocate(16, 1)
-	if got := a.Switches(); got != 4 {
-		t.Fatalf("Switches = %d, want 4", got)
-	}
-}
-
 func TestLayoutNodesNeeded(t *testing.T) {
 	l := Layout{Workers: 5, WorkersPerNode: 2, Ranks: 8, RanksPerNode: 2}
 	// 2 + ceil(5/2)=3 + ceil(8/2)=4 -> 9
@@ -123,14 +114,6 @@ func TestPlacePanicsWhenTooSmall(t *testing.T) {
 	a.Place(Layout{Workers: 4, WorkersPerNode: 1, Ranks: 4, RanksPerNode: 1})
 }
 
-func TestCoreHours(t *testing.T) {
-	m := testMachine(8) // 48 cores/node
-	got := m.CoreHours(3600, 2)
-	if math.Abs(got-96) > 1e-12 {
-		t.Fatalf("CoreHours(1h, 2 nodes) = %v, want 96", got)
-	}
-}
-
 // Property: any valid layout placed on a big-enough allocation assigns
 // every process to an allocated node, with no more than the configured
 // processes per node.
@@ -146,7 +129,7 @@ func TestPlaceQuick(t *testing.T) {
 		a := m.Allocate(l.NodesNeeded(), int64(w)*31+int64(r))
 		p := a.Place(l)
 		alloc := map[netsim.NodeID]int{}
-		for _, n := range a.Nodes() {
+		for _, n := range a.nodes {
 			alloc[n] = 0
 		}
 		for _, n := range p.WorkerNodes {

@@ -41,10 +41,6 @@ func ConnectNamespaced(cluster *dask.Cluster, node netsim.NodeID, ns string) *De
 // Client returns the underlying analytics client.
 func (d *Deisa) Client() *dask.Client { return d.client }
 
-// Namespace returns the job namespace this adaptor is scoped to ("" on
-// single-job deployments).
-func (d *Deisa) Namespace() string { return d.ns }
-
 // GetDeisaArrays blocks until rank 0 publishes the descriptors and
 // returns the array set for selection.
 func (d *Deisa) GetDeisaArrays() (*ArraySet, error) {
@@ -92,9 +88,6 @@ type DeisaArray struct {
 	chunked   *array.Chunked
 	selection *array.Selection
 }
-
-// Chunked returns the dask-array view (chunk keys = deisa block keys).
-func (da *DeisaArray) Chunked() *array.Chunked { return da.chunked }
 
 // SelectAll selects the whole array (the `[...]` of Listing 2) and
 // returns the chunked view for graph building.
@@ -190,9 +183,6 @@ type Deisa1Adaptor struct {
 func NewDeisa1Adaptor(client *dask.Client, ranks int) *Deisa1Adaptor {
 	return &Deisa1Adaptor{client: client, ranks: ranks}
 }
-
-// Client returns the wrapped client.
-func (a *Deisa1Adaptor) Client() *dask.Client { return a.client }
 
 // NextStepKeys blocks until every rank has announced its key for the
 // current timestep and returns the keys (one queue Get per rank — the

@@ -26,14 +26,6 @@ const (
 	ModeDEISA1
 )
 
-// String names the mode.
-func (m Mode) String() string {
-	if m == ModeDEISA1 {
-		return "deisa1"
-	}
-	return "external"
-}
-
 // Deisa1QueueName returns the distributed-queue name of one rank's
 // DEISA1 metadata channel (the baseline uses Nbr_ranks queues, §2.1).
 func Deisa1QueueName(rank int) string { return fmt.Sprintf("deisa1-meta-%d", rank) }
@@ -158,14 +150,8 @@ func (b *Bridge) blockBytes(data *ndarray.Array) int64 {
 	return dask.SizeOf(data)
 }
 
-// Client exposes the underlying dask client (tests, clock access).
-func (b *Bridge) Client() *dask.Client { return b.client }
-
 // Rank returns the bridge's MPI rank.
 func (b *Bridge) Rank() int { return b.cfg.Rank }
-
-// Mode returns the bridging protocol in use.
-func (b *Bridge) Mode() Mode { return b.cfg.Mode }
 
 // DeclareArray registers a virtual array this rank contributes to. All
 // ranks declare the same arrays; rank 0's declarations are published.
@@ -233,9 +219,6 @@ func (b *Bridge) Init(at vtime.Time) (vtime.Time, error) {
 	b.ready = true
 	return b.client.Now(), nil
 }
-
-// Contract returns the signed contract (nil in DEISA1 mode).
-func (b *Bridge) Contract() *Contract { return b.contract }
 
 // Publish offers one block of one timestep to the coupling. In external
 // mode the bridge checks the contract locally and, if the block is
@@ -444,21 +427,4 @@ func (b *Bridge) RepublishLost(at vtime.Time) (int, error) {
 // after a failure reports the totals of every incarnation.
 func (b *Bridge) Stats() (sent, skipped int64) {
 	return b.mShipped.Load(), b.mFiltered.Load()
-}
-
-// RetryStats returns how many publish attempts were retried and how many
-// lost blocks were republished, from the same shared series as Stats.
-func (b *Bridge) RetryStats() (retries, republished int64) {
-	return b.mRetries.Load(), b.mRepublished.Load()
-}
-
-// Node returns the bridge's fabric node.
-func (b *Bridge) Node() netsim.NodeID { return b.cfg.Node }
-
-// forceReady marks the bridge initialized with an existing contract —
-// used by recovery paths that re-create a bridge after a failure without
-// re-running the contract handshake.
-func (b *Bridge) forceReady(contract *Contract) {
-	b.contract = contract
-	b.ready = true
 }

@@ -65,32 +65,6 @@ func (c *Contract) WantsBlock(arrayName string, pos []int, timeDim int) bool {
 	return false
 }
 
-// Arrays returns the names of arrays with at least one selected block.
-func (c *Contract) Arrays() []string {
-	var out []string
-	for name := range c.Selections {
-		out = append(out, name)
-	}
-	return out
-}
-
-// BlocksPerStep returns how many distinct spatial blocks of an array the
-// contract selects (counting time wildcards once).
-func (c *Contract) BlocksPerStep(arrayName string, timeDim int) int {
-	seen := map[string]bool{}
-	for _, sel := range c.Selections[arrayName] {
-		spatial := make([]int, 0, len(sel)-1)
-		for d, p := range sel {
-			if d == timeDim {
-				continue
-			}
-			spatial = append(spatial, p)
-		}
-		seen[posKey(spatial)] = true
-	}
-	return len(seen)
-}
-
 // SizeBytes models the wire size of the contract message.
 func (c *Contract) SizeBytes() int64 {
 	var n int64 = 64

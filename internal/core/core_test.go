@@ -61,17 +61,11 @@ func TestVirtualArrayValidate(t *testing.T) {
 	}
 }
 
-func TestVirtualArrayGridAndBytes(t *testing.T) {
+func TestVirtualArrayGrid(t *testing.T) {
 	va := testVA()
 	g := va.Grid()
 	if g[0] != 2 || g[1] != 2 || g[2] != 1 {
 		t.Fatalf("Grid = %v", g)
-	}
-	if va.Timesteps() != 2 || va.SpatialBlocks() != 2 {
-		t.Fatalf("Timesteps=%d SpatialBlocks=%d", va.Timesteps(), va.SpatialBlocks())
-	}
-	if va.BlockBytes() != 4*8 {
-		t.Fatalf("BlockBytes = %d", va.BlockBytes())
 	}
 }
 
@@ -168,9 +162,6 @@ func TestContractWantsBlock(t *testing.T) {
 	if c.WantsBlock("b", []int{0, 0, 0}, 0) {
 		t.Fatal("unknown array accepted")
 	}
-	if c.BlocksPerStep("a", 0) != 2 {
-		t.Fatalf("BlocksPerStep = %d", c.BlocksPerStep("a", 0))
-	}
 	if c.SizeBytes() <= 0 {
 		t.Fatal("SizeBytes")
 	}
@@ -217,7 +208,7 @@ func runWorkflow(t *testing.T, mode Mode, selectRanges []array.Range) (float64, 
 			}
 			vva := msg.Arrays[0]
 			total := 0.0
-			for step := 0; step < vva.Timesteps(); step++ {
+			for step := 0; step < vva.Size[vva.TimeDim]; step++ {
 				keys, err := ad.NextStepKeys()
 				if err != nil {
 					errs <- err
@@ -426,8 +417,12 @@ func TestBridgeErrors(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if ModeExternal.String() != "external" || ModeDEISA1.String() != "deisa1" {
-		t.Fatal("Mode.String")
+// BlockStart returns the element offset of a block position: the inverse
+// the round-trip test checks PositionForStart against.
+func (v *VirtualArray) BlockStart(pos []int) []int {
+	start := make([]int, len(pos))
+	for d, p := range pos {
+		start[d] = p * v.Subsize[d]
 	}
+	return start
 }

@@ -157,7 +157,7 @@ func TestWorkerFailureRepublish(t *testing.T) {
 			errs <- err
 			return
 		}
-		b2.forceReady(b.Contract())
+		b2.forceReady(b.contract)
 		if _, _, err := b2.Publish("G_r", []int{0, 0, 0}, blk, now); err != nil {
 			// The task may have completed before the kill; a "not in
 			// external state" error then is acceptable.

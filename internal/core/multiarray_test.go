@@ -246,8 +246,8 @@ func TestFiveDimensionalVirtualArray(t *testing.T) {
 	if err := va.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if va.SpatialBlocks() != 2 || va.Timesteps() != 6 {
-		t.Fatalf("blocks=%d steps=%d", va.SpatialBlocks(), va.Timesteps())
+	if g := va.Grid(); g[1] != 2 || g[0] != 6 {
+		t.Fatalf("grid = %v, want 6 steps of 2 blocks", g)
 	}
 	key := va.BlockKey([]int{3, 1, 0, 0, 0})
 	if key != "deisa-f5d-3.1.0.0.0" {
@@ -258,8 +258,8 @@ func TestFiveDimensionalVirtualArray(t *testing.T) {
 		t.Fatalf("parse = %q %v %v", name, pos, err)
 	}
 	ch := va.Chunked()
-	if ch.NumChunks() != 12 {
-		t.Fatalf("chunks = %d", ch.NumChunks())
+	if n := len(ch.SelectAll().Chunks); n != 12 {
+		t.Fatalf("chunks = %d", n)
 	}
 	// Worker placement stable across time in 5-D too.
 	if va.WorkerForBlock([]int{0, 1, 0, 0, 0}, 3) != va.WorkerForBlock([]int{5, 1, 0, 0, 0}, 3) {

@@ -186,3 +186,17 @@ func TestRepublishLostRecoversKilledOwner(t *testing.T) {
 		t.Fatalf("second sweep: n=%d err=%v", n, err)
 	}
 }
+
+// RetryStats returns how many publish attempts were retried and how many
+// lost blocks were republished, from the same shared series as Stats.
+func (b *Bridge) RetryStats() (retries, republished int64) {
+	return b.mRetries.Load(), b.mRepublished.Load()
+}
+
+// forceReady marks the bridge initialized with an existing contract, so a
+// test can re-create a bridge after a failure without re-running the
+// contract handshake.
+func (b *Bridge) forceReady(contract *Contract) {
+	b.contract = contract
+	b.ready = true
+}

@@ -114,29 +114,6 @@ func (v *VirtualArray) Grid() []int {
 	return append([]int(nil), v.gridCached()...)
 }
 
-// Timesteps returns the extent of the time dimension.
-func (v *VirtualArray) Timesteps() int { return v.Size[v.TimeDim] }
-
-// SpatialBlocks returns the number of blocks per timestep.
-func (v *VirtualArray) SpatialBlocks() int {
-	n := 1
-	for d, g := range v.gridCached() {
-		if d != v.TimeDim {
-			n *= g
-		}
-	}
-	return n
-}
-
-// BlockBytes returns the modelled size of one block.
-func (v *VirtualArray) BlockBytes() int64 {
-	n := int64(1)
-	for _, s := range v.Subsize {
-		n *= int64(s)
-	}
-	return n * 8
-}
-
 // BlockKey builds the unique key of the block at the given grid position
 // (§2.4.1): deisa-<name>-<p0>.<p1>...., with the time dimension first in
 // the position tuple by deisa convention (pos is given in dimension
@@ -194,15 +171,6 @@ func ParseBlockKey(k taskgraph.Key) (name string, pos []int, err error) {
 		pos = append(pos, n)
 	}
 	return name, pos, nil
-}
-
-// BlockStart returns the element offset of a block position.
-func (v *VirtualArray) BlockStart(pos []int) []int {
-	start := make([]int, len(pos))
-	for d, p := range pos {
-		start[d] = p * v.Subsize[d]
-	}
-	return start
 }
 
 // PositionForStart inverts BlockStart: the grid position of the block

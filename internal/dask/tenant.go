@@ -2,6 +2,7 @@ package dask
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -73,8 +74,8 @@ func ValidateTenant(name string, weight float64) error {
 	if name == "" || name == tenantLabel("") || strings.ContainsRune(name, '/') {
 		return fmt.Errorf("dask: invalid tenant name %q (non-empty, not %q, no '/')", name, tenantLabel(""))
 	}
-	if weight <= 0 {
-		return fmt.Errorf("dask: tenant %q needs a positive weight, got %g", name, weight)
+	if !(weight > 0) || math.IsInf(weight, 1) {
+		return fmt.Errorf("dask: tenant %q needs a finite positive weight, got %g", name, weight)
 	}
 	return nil
 }

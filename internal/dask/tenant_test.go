@@ -26,6 +26,8 @@ func TestValidateTenant(t *testing.T) {
 		{"default", 1, false}, // reserved: names the catch-all tenant
 		{"jobA", 0, false},
 		{"jobA", -2, false},
+		{"jobA", math.NaN(), false},
+		{"jobA", math.Inf(1), false},
 	}
 	for _, c := range cases {
 		if err := ValidateTenant(c.name, c.weight); (err == nil) != c.ok {

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"deisago/internal/ndarray"
@@ -89,26 +88,6 @@ func Create(fsys *pfs.FS, path string, at vtime.Time) (*File, vtime.Time) {
 	return f, end
 }
 
-// Open loads an existing container.
-func Open(fsys *pfs.FS, path string, at vtime.Time) (*File, vtime.Time, error) {
-	sz, err := fsys.Size(metaPath(path))
-	if err != nil {
-		return nil, at, fmt.Errorf("h5: open %s: %w", path, err)
-	}
-	raw, end, err := fsys.ReadAt(metaPath(path), 0, sz, at)
-	if err != nil {
-		return nil, at, err
-	}
-	f := &File{fs: fsys, path: path}
-	if err := json.Unmarshal(raw, &f.meta); err != nil {
-		return nil, at, fmt.Errorf("h5: corrupt metadata in %s: %w", path, err)
-	}
-	if f.meta.Datasets == nil {
-		f.meta.Datasets = map[string]*dsMeta{}
-	}
-	return f, end, nil
-}
-
 func (f *File) flushMeta(at vtime.Time) vtime.Time {
 	raw, err := json.Marshal(&f.meta)
 	if err != nil {
@@ -121,18 +100,6 @@ func (f *File) flushMeta(at vtime.Time) vtime.Time {
 		panic("h5: metadata write failed: " + werr.Error())
 	}
 	return end
-}
-
-// Datasets lists dataset names in lexical order.
-func (f *File) Datasets() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.meta.Datasets))
-	for n := range f.meta.Datasets {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Dataset is a handle on one chunked dataset.
@@ -194,9 +161,6 @@ func chunkElems(chunks []int) int {
 	return n
 }
 
-// Name returns the dataset name.
-func (d *Dataset) Name() string { return d.name }
-
 // SetSizeScale declares that every chunk models a scale-times-larger
 // block: chunk reads and writes charge the file system for
 // scale × actual bytes. It returns the dataset for chaining.
@@ -216,9 +180,6 @@ func (d *Dataset) sizeScale() int64 {
 	return d.meta.SizeScale
 }
 
-// Shape returns the logical dataset shape.
-func (d *Dataset) Shape() []int { return append([]int(nil), d.meta.Shape...) }
-
 // ChunkShape returns the chunking.
 func (d *Dataset) ChunkShape() []int { return append([]int(nil), d.meta.Chunks...) }
 
@@ -229,15 +190,6 @@ func (d *Dataset) ChunkGrid() []int {
 		g[i] = gridDim(d.meta.Shape[i], d.meta.Chunks[i])
 	}
 	return g
-}
-
-// NumChunks returns the total chunk count.
-func (d *Dataset) NumChunks() int {
-	n := 1
-	for _, g := range d.ChunkGrid() {
-		n *= g
-	}
-	return n
 }
 
 // chunkExtent returns the in-bounds shape of the chunk at idx.
@@ -358,43 +310,6 @@ func (d *Dataset) ReadChunk(idx []int, at vtime.Time) (*ndarray.Array, vtime.Tim
 	trimmed := fullArr.Slice(ranges...).Copy()
 	floatPool.Put(staged)
 	return trimmed, end, nil
-}
-
-// ReadAll assembles the whole dataset by reading every chunk in sequence
-// starting at the given time; it returns the data and the completion time.
-func (d *Dataset) ReadAll(at vtime.Time) (*ndarray.Array, vtime.Time, error) {
-	out := ndarray.New(d.meta.Shape...)
-	grid := d.ChunkGrid()
-	idx := make([]int, len(grid))
-	end := at
-	for {
-		chunk, e, err := d.ReadChunk(idx, at)
-		if err != nil {
-			return nil, at, err
-		}
-		if e > end {
-			end = e
-		}
-		ranges := make([]ndarray.Range, len(idx))
-		for i, x := range idx {
-			start := x * d.meta.Chunks[i]
-			ranges[i] = ndarray.Range{Start: start, Stop: start + chunk.Dim(i)}
-		}
-		out.Slice(ranges...).CopyFrom(chunk)
-		// Advance the chunk index odometer.
-		i := len(idx) - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < grid[i] {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			break
-		}
-	}
-	return out, end, nil
 }
 
 // encodeFloats serializes xs into out, which must be len(xs)*8 bytes.

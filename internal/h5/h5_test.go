@@ -7,13 +7,14 @@ import (
 
 	"deisago/internal/ndarray"
 	"deisago/internal/pfs"
+	"deisago/internal/vtime"
 )
 
 func testFS() *pfs.FS {
 	return pfs.New(pfs.Config{OSTs: 4, OSTBandwidth: 1e9, StripeSize: 1 << 16, MetaLatency: 1e-4})
 }
 
-func TestCreateOpenRoundtrip(t *testing.T) {
+func TestCreateDatasetLookup(t *testing.T) {
 	fsys := testFS()
 	f, end := Create(fsys, "out.h5", 0)
 	if end <= 0 {
@@ -22,31 +23,45 @@ func TestCreateOpenRoundtrip(t *testing.T) {
 	if _, _, err := f.CreateDataset("temp", []int{4, 6}, []int{2, 3}, end); err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := Open(fsys, "out.h5", end)
+	d, err := f.Dataset("temp")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := g.Datasets(); len(got) != 1 || got[0] != "temp" {
-		t.Fatalf("Datasets = %v", got)
-	}
-	d, err := g.Dataset("temp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := d.Shape(); s[0] != 4 || s[1] != 6 {
-		t.Fatalf("Shape = %v", s)
 	}
 	if c := d.ChunkShape(); c[0] != 2 || c[1] != 3 {
 		t.Fatalf("ChunkShape = %v", c)
 	}
-	if d.NumChunks() != 4 {
-		t.Fatalf("NumChunks = %d", d.NumChunks())
+	if g := d.ChunkGrid(); g[0] != 2 || g[1] != 2 {
+		t.Fatalf("ChunkGrid = %v", g)
 	}
 }
 
-func TestOpenMissing(t *testing.T) {
-	if _, _, err := Open(testFS(), "nope.h5", 0); err == nil {
-		t.Fatal("Open of missing file should error")
+// readAll assembles the whole dataset from its chunks, the way a post hoc
+// reader sees what the writers left on the file system.
+func readAll(d *Dataset, at vtime.Time) (*ndarray.Array, error) {
+	out := ndarray.New(d.meta.Shape...)
+	grid := d.ChunkGrid()
+	idx := make([]int, len(grid))
+	for {
+		chunk, _, err := d.ReadChunk(idx, at)
+		if err != nil {
+			return nil, err
+		}
+		ranges := make([]ndarray.Range, len(idx))
+		for i, x := range idx {
+			start := x * d.meta.Chunks[i]
+			ranges[i] = ndarray.Range{Start: start, Stop: start + chunk.Dim(i)}
+		}
+		out.Slice(ranges...).CopyFrom(chunk)
+		i := len(idx) - 1
+		for ; i >= 0; i-- {
+			if idx[i]++; idx[i] < grid[i] {
+				break
+			}
+			idx[i] = 0
+		}
+		if i < 0 {
+			return out, nil
+		}
 	}
 }
 
@@ -111,38 +126,6 @@ func TestEdgeChunks(t *testing.T) {
 	}
 }
 
-func TestReadAll(t *testing.T) {
-	fsys := testFS()
-	f, end := Create(fsys, "r.h5", 0)
-	d, end, err := f.CreateDataset("a", []int{4, 6}, []int{2, 3}, end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ndarray.New(4, 6)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 6; j++ {
-			want.Set(rng.NormFloat64(), i, j)
-		}
-	}
-	for ci := 0; ci < 2; ci++ {
-		for cj := 0; cj < 2; cj++ {
-			blk := want.Slice(ndarray.Range{Start: ci * 2, Stop: ci*2 + 2},
-				ndarray.Range{Start: cj * 3, Stop: cj*3 + 3}).Copy()
-			if end, err = d.WriteChunk([]int{ci, cj}, blk, end); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	got, _, err := d.ReadAll(end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ndarray.Equal(got, want) {
-		t.Fatal("ReadAll != written data")
-	}
-}
-
 func TestMultipleDatasetsDoNotOverlap(t *testing.T) {
 	fsys := testFS()
 	f, end := Create(fsys, "m.h5", 0)
@@ -193,7 +176,7 @@ func TestErrors(t *testing.T) {
 }
 
 // Property: for random shapes/chunkings, writing every chunk of a random
-// array then ReadAll reproduces the array exactly.
+// array then reading every chunk back reproduces the array exactly.
 func TestChunkRoundtripQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -224,7 +207,7 @@ func TestChunkRoundtripQuick(t *testing.T) {
 				}
 			}
 		}
-		got, _, err := d.ReadAll(end)
+		got, err := readAll(d, end)
 		return err == nil && ndarray.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -172,9 +172,6 @@ func (p *PdiPlugin) AttachFile(f *File) error {
 	return nil
 }
 
-// File returns the underlying container (nil before the init event).
-func (p *PdiPlugin) File() *File { return p.file }
-
 // DataShared implements pdi.Plugin: a share of a mapped buffer writes
 // the corresponding chunk.
 func (p *PdiPlugin) DataShared(name string, data *ndarray.Array, at vtime.Time) (vtime.Time, error) {

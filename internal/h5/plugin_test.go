@@ -63,12 +63,12 @@ func TestPdiPluginWritesChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p0.File() == nil {
+	if p0.file == nil {
 		t.Fatal("file not created")
 	}
 	// Second rank attaches to the same file.
 	sys1, p1 := pluginSystem(t, fsys, 1)
-	if err := p1.AttachFile(p0.File()); err != nil {
+	if err := p1.AttachFile(p0.file); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,15 +88,11 @@ func TestPdiPluginWritesChunks(t *testing.T) {
 	}
 
 	// Read back and verify layout: (t, X=2, Y=4), rank r at Y offset 2r.
-	f, _, err := Open(fsys, "out.h5", now)
+	ds, err := p0.file.Dataset("G_temp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := f.Dataset("G_temp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, _, err := ds.ReadAll(now)
+	all, err := readAll(ds, now)
 	if err != nil {
 		t.Fatal(err)
 	}

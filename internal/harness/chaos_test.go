@@ -41,7 +41,7 @@ func TestChaosAcceptance(t *testing.T) {
 	cfg := ChaosScenarioConfig(opts, 4, 4)
 	plan := chaosAcceptancePlan(t, cfg)
 
-	report, err := RunChaos(cfg, plan)
+	report, err := RunChaosParallel(cfg, plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestChaosMemoryGovernanceAcceptance(t *testing.T) {
 		t.Fatalf("plan %s lacks kills + memlimit: %v", plan, counts)
 	}
 
-	report, err := RunChaos(cfg, plan)
+	report, err := RunChaosParallel(cfg, plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestChaosExplicitPlanDSL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := RunChaos(cfg, plan)
+	report, err := RunChaosParallel(cfg, plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,16 +88,11 @@ func checkPlan(plan *chaos.Plan) error {
 	return nil
 }
 
-// RunChaos executes cfg fault-free and under the plan (auditor on in
-// the faulty run; any invariant violation panics) and compares the
-// analytics outputs bitwise.
-func RunChaos(cfg Config, plan *chaos.Plan) (*ChaosReport, error) {
-	return RunChaosParallel(cfg, plan, 1)
-}
-
-// RunChaosParallel is RunChaos with the twin runs executed on a pool of
-// the given width. The runs are independent simulations, so the report —
-// fault log included — is identical for any width; 2 halves wall-clock.
+// RunChaosParallel executes cfg fault-free and under the plan (auditor on
+// in the faulty run; any invariant violation panics) and compares the
+// analytics outputs bitwise. The twin runs execute on a pool of the
+// given width. They are independent simulations, so the report — fault
+// log included — is identical for any width; 2 halves wall-clock.
 func RunChaosParallel(cfg Config, plan *chaos.Plan, parallel int) (*ChaosReport, error) {
 	var cr, fr *Result
 	err := runPool(parallel, 2, func(i int) error {

@@ -26,7 +26,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ChaosScenarioConfig(QuickOptions(), 4, 4)
-	if _, err := RunChaos(cfg, chaosAcceptancePlan(t, cfg)); err != nil {
+	if _, err := RunChaosParallel(cfg, chaosAcceptancePlan(t, cfg), 1); err != nil {
 		t.Fatal(err)
 	}
 	rejected, err := chaos.ParsePlan("drop:0/1:6")

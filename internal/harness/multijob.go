@@ -102,12 +102,19 @@ func (c *MultiJobConfig) defaults() {
 	}
 }
 
-func (c *MultiJobConfig) validate() error {
+// Validate reports why RunMultiJob would refuse the configuration, before
+// anything is built. RunMultiJob fills zero job timesteps and the zero
+// Model first, so call it on a configuration that sets them.
+func (c *MultiJobConfig) Validate() error {
 	if len(c.Jobs) == 0 {
 		return fmt.Errorf("harness: multi-job run needs at least one job")
 	}
 	if c.Workers <= 0 {
 		return fmt.Errorf("harness: workers must be positive")
+	}
+	if c.MaxConcurrent < 0 || c.TenantBudget < 0 || c.ClusterBudget < 0 {
+		return fmt.Errorf("harness: admission limits must not be negative (max concurrent %d, tenant budget %d, cluster budget %d)",
+			c.MaxConcurrent, c.TenantBudget, c.ClusterBudget)
 	}
 	steps := map[string]int{}
 	for _, j := range c.Jobs {
@@ -240,7 +247,7 @@ func (j *JobResult) fingerprint() string {
 // shared platform.
 func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 	cfg.defaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	totalRanks := 0

@@ -216,8 +216,20 @@ func TestMultiJobValidation(t *testing.T) {
 	// refuse it before any platform is built.
 	reserved := mjConfig(1)
 	reserved.Jobs[0].Name = "default"
-	if err := reserved.validate(); err == nil {
+	if err := reserved.Validate(); err == nil {
 		t.Fatal(`job named "default" passed validation`)
+	}
+	// Negative admission limits are refused, not handed to the plane.
+	for _, neg := range []func(*MultiJobConfig){
+		func(c *MultiJobConfig) { c.MaxConcurrent = -2 },
+		func(c *MultiJobConfig) { c.TenantBudget = -1 },
+		func(c *MultiJobConfig) { c.ClusterBudget = -1 },
+	} {
+		cfg := mjConfig(2)
+		neg(&cfg)
+		if _, err := RunMultiJob(cfg); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Fatalf("negative limit err = %v", err)
+		}
 	}
 	unknown := mjConfig(1)
 	plan, err := chaos.ParsePlan("killjob:ghost@1")

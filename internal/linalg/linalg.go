@@ -250,34 +250,3 @@ func orthonormalizeZeroCols(u *ndarray.Array, s []float64) {
 		}
 	}
 }
-
-// Reconstruct returns U·diag(S)·Vᵀ, for verifying decompositions.
-func Reconstruct(u *ndarray.Array, s []float64, v *ndarray.Array) *ndarray.Array {
-	k := len(s)
-	us := ndarray.New(u.Dim(0), k)
-	for i := 0; i < u.Dim(0); i++ {
-		for j := 0; j < k; j++ {
-			us.Set(u.At(i, j)*s[j], i, j)
-		}
-	}
-	return ndarray.MatMul(us, v.Transpose())
-}
-
-// IsOrthonormalCols reports whether the columns of a are orthonormal
-// within tol.
-func IsOrthonormalCols(a *ndarray.Array, tol float64) bool {
-	gram := ndarray.MatMul(a.Transpose(), a)
-	n := gram.Dim(0)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(gram.At(i, j)-want) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}

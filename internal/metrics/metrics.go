@@ -362,14 +362,6 @@ func (g *Gauge) Set(v float64, at vtime.Time) {
 	g.mu.Unlock()
 }
 
-// Add shifts the gauge by delta at virtual time at. No-op on nil.
-func (g *Gauge) Add(delta float64, at vtime.Time) {
-	if g == nil {
-		return
-	}
-	g.Set(g.Value()+delta, at)
-}
-
 // Value returns the current value (0 on a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -428,21 +420,6 @@ func (h *Histogram) Observe(v float64) {
 	s.mu.Lock()
 	s.xs = append(s.xs, v)
 	s.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int {
-	if h == nil {
-		return 0
-	}
-	n := 0
-	for i := range h.sh {
-		s := &h.sh[i]
-		s.mu.Lock()
-		n += len(s.xs)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // gather copies every shard's samples into one slice.

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"deisago/internal/vtime"
 )
 
 func TestID(t *testing.T) {
@@ -286,4 +288,38 @@ func TestHistogramStatsNaNFree(t *testing.T) {
 			t.Fatalf("empty stats contain NaN: %+v", st)
 		}
 	}
+}
+
+// Add shifts the gauge by delta at virtual time at. No-op on nil.
+func (g *Gauge) Add(delta float64, at vtime.Time) {
+	if g == nil {
+		return
+	}
+	g.Set(g.Value()+delta, at)
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int {
+	if h == nil {
+		return 0
+	}
+	n := 0
+	for i := range h.sh {
+		s := &h.sh[i]
+		s.mu.Lock()
+		n += len(s.xs)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// Histogram returns the summary for the histogram with the given ID and
+// whether it exists.
+func (s *Snapshot) Histogram(id string) (HistSnap, bool) {
+	for _, h := range s.Histograms {
+		if h.ID == id {
+			return h, true
+		}
+	}
+	return HistSnap{}, false
 }

@@ -115,17 +115,6 @@ func (s *Snapshot) Gauge(id string) float64 {
 	return 0
 }
 
-// Histogram returns the summary for the histogram with the given ID and
-// whether it exists.
-func (s *Snapshot) Histogram(id string) (HistSnap, bool) {
-	for _, h := range s.Histograms {
-		if h.ID == id {
-			return h, true
-		}
-	}
-	return HistSnap{}, false
-}
-
 // WriteJSON writes the full snapshot as indented JSON.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -3,14 +3,12 @@ package ml
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"deisago/internal/dask"
 	"deisago/internal/ndarray"
 	"deisago/internal/netsim"
 	"deisago/internal/taskgraph"
-	"deisago/internal/vtime"
 )
 
 func graphTestCluster(t *testing.T) (*dask.Cluster, *dask.Client) {
@@ -38,89 +36,6 @@ func addBatchTasks(g *taskgraph.Graph, name string, batches []*ndarray.Array) []
 		g.AddFn(keys[i], nil, func([]any) (any, error) { return b, nil }, 1e-5)
 	}
 	return keys
-}
-
-func TestBuildIPCAChainMatchesLocal(t *testing.T) {
-	_, cl := graphTestCluster(t)
-	rng := rand.New(rand.NewSource(1))
-	var batches []*ndarray.Array
-	local := NewIncrementalPCA(2)
-	for i := 0; i < 4; i++ {
-		b := lowRankData(rng, 12, 6, 2)
-		batches = append(batches, b)
-		if err := local.PartialFit(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := taskgraph.New()
-	keys := addBatchTasks(g, "ip", batches)
-	res := BuildIPCAChain(g, "ipca", keys, "", 2, 12, 6)
-	futs, err := cl.Submit(g, []taskgraph.Key{res.Components, res.SingularValues, res.ExplainedVariance})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := cl.Gather(futs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comps := vals[0].(*ndarray.Array)
-	if !ndarray.AllClose(comps, local.Components, 1e-10) {
-		t.Fatal("distributed chain components differ from local IPCA")
-	}
-	svs := vals[1].([]float64)
-	for i := range svs {
-		if math.Abs(svs[i]-local.SingularValues[i]) > 1e-10 {
-			t.Fatalf("singular values differ: %v vs %v", svs, local.SingularValues)
-		}
-	}
-	evs := vals[2].([]float64)
-	for i := range evs {
-		if math.Abs(evs[i]-local.ExplainedVariance[i]) > 1e-10 {
-			t.Fatalf("explained variance differs: %v vs %v", evs, local.ExplainedVariance)
-		}
-	}
-}
-
-func TestBuildIPCAChainResume(t *testing.T) {
-	// Old-IPCA style: two separate submissions, the second chain resuming
-	// from the first chain's final state key.
-	_, cl := graphTestCluster(t)
-	rng := rand.New(rand.NewSource(2))
-	b1 := lowRankData(rng, 10, 5, 2)
-	b2 := lowRankData(rng, 10, 5, 2)
-	local := NewIncrementalPCA(2)
-	if err := local.PartialFit(b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := local.PartialFit(b2); err != nil {
-		t.Fatal(err)
-	}
-
-	g1 := taskgraph.New()
-	k1 := addBatchTasks(g1, "a", []*ndarray.Array{b1})
-	res1 := BuildIPCAChain(g1, "step0", k1, "", 2, 10, 5)
-	futs1, err := cl.Submit(g1, []taskgraph.Key{res1.FinalState})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Wait(futs1); err != nil {
-		t.Fatal(err)
-	}
-
-	g2 := taskgraph.New()
-	k2 := addBatchTasks(g2, "b", []*ndarray.Array{b2})
-	res2 := BuildIPCAChain(g2, "step1", k2, res1.FinalState, 2, 10, 5)
-	futs2, err := cl.Submit(g2, []taskgraph.Key{res2.Components})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := cl.Gather(futs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ndarray.AllClose(vals[0].(*ndarray.Array), local.Components, 1e-10) {
-		t.Fatal("resumed chain differs from local IPCA")
-	}
 }
 
 func TestAddFoldTask(t *testing.T) {
@@ -153,32 +68,5 @@ func TestAddFoldTask(t *testing.T) {
 	}
 	if m.At(2, 1) != 12 || m.At(0, 0) != 0 {
 		t.Fatalf("folded values wrong: %v", m)
-	}
-}
-
-func TestChainStateKeysProgress(t *testing.T) {
-	g := taskgraph.New()
-	keys := addBatchTasks(g, "x", []*ndarray.Array{ndarray.New(4, 3), ndarray.New(4, 3)})
-	res := BuildIPCAChain(g, "c", keys, "", 2, 4, 3)
-	if len(res.StateKeys) != 2 {
-		t.Fatalf("StateKeys = %v", res.StateKeys)
-	}
-	if res.FinalState != res.StateKeys[1] {
-		t.Fatal("FinalState mismatch")
-	}
-	// The chain is sequential: state-1 depends on state-0.
-	st1 := g.Get(res.StateKeys[1])
-	found := false
-	for _, d := range st1.Deps {
-		if d == res.StateKeys[0] {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("chain not sequential")
-	}
-	var _ vtime.Dur = st1.Cost
-	if st1.Cost <= 0 {
-		t.Fatal("partial-fit task has no modelled cost")
 	}
 }

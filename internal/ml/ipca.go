@@ -223,34 +223,3 @@ func (p *IncrementalPCA) Fit(x *ndarray.Array, batchSize int) error {
 	}
 	return nil
 }
-
-// Transform projects X onto the fitted components.
-func (p *IncrementalPCA) Transform(x *ndarray.Array) (*ndarray.Array, error) {
-	return transform(x, p.Mean, p.Components)
-}
-
-// flopTime is the modelled seconds per floating-point operation
-// (~4 GFLOP/s effective on one core).
-const flopTime = 2.5e-10
-
-// PartialFitCost models the virtual execution time of one PartialFit on
-// an n×f batch with k components using a dense SVD of the (k+n+1)×f
-// stack. It is the cost model for exact solvers; the paper's workflow
-// uses svd_solver='randomized' (Listing 2), modelled by
-// RandomizedSVDCost.
-func PartialFitCost(n, f, k int) float64 {
-	rows := float64(k + n + 1)
-	cols := float64(f)
-	inner := math.Min(rows, cols)
-	return (2*rows*cols*inner + 11*inner*inner*inner) * flopTime
-}
-
-// RandomizedSVDCost models one randomized-SVD partial_fit on an n×f
-// batch extracting k components: two passes over the data against a
-// (k+oversample)-wide sketch plus small-matrix factorizations.
-func RandomizedSVDCost(n, f, k int) float64 {
-	rows := float64(k + n + 1)
-	cols := float64(f)
-	sketch := float64(k + 10)
-	return (4*rows*cols*sketch + 20*sketch*sketch*(rows+cols)) * flopTime
-}

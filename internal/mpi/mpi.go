@@ -1,10 +1,11 @@
 // Package mpi implements the message-passing substrate the paper's
 // simulations run on: an SPMD world of ranks with typed point-to-point
-// messages, the usual collectives, and Cartesian topologies for stencil
-// codes. Ranks are goroutines in one process; messages move real data
-// through channels and carry virtual timestamps computed by the network
-// fabric, so communication cost and congestion appear in virtual time
-// exactly as they would on the modelled cluster.
+// messages and Cartesian topologies for stencil codes (the simulations
+// need only halo exchange, so there are no collectives). Ranks are
+// goroutines in one process; messages move real data through channels
+// and carry virtual timestamps computed by the network fabric, so
+// communication cost and congestion appear in virtual time exactly as
+// they would on the modelled cluster.
 package mpi
 
 import (
@@ -13,36 +14,6 @@ import (
 
 	"deisago/internal/netsim"
 	"deisago/internal/vtime"
-)
-
-// Op is a reduction operator for Reduce/Allreduce.
-type Op func(a, b float64) float64
-
-// Predefined reduction operators.
-var (
-	Sum Op = func(a, b float64) float64 { return a + b }
-	Max Op = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	Min Op = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-)
-
-// Internal tags; user tags must be non-negative.
-const (
-	tagBarrierUp = -1 - iota
-	tagBarrierDown
-	tagBcast
-	tagReduce
-	tagGather
-	tagAllgather
 )
 
 type message struct {
@@ -107,7 +78,7 @@ type World struct {
 	bufs  [][]float64
 }
 
-// maxPooledBufs bounds the free-list so a burst of large collectives
+// maxPooledBufs bounds the free-list so a burst of large messages
 // cannot pin memory for the rest of a run.
 const maxPooledBufs = 256
 
@@ -156,12 +127,6 @@ func NewWorld(fabric *netsim.Fabric, rankNodes []netsim.NodeID) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
-// Node returns the fabric node hosting a rank.
-func (w *World) Node(rank int) netsim.NodeID { return w.nodes[rank] }
-
 // Run executes f once per rank, each on its own goroutine, and waits for
 // all of them to return. Each invocation receives that rank's Comm, whose
 // clock starts at the given origin.
@@ -200,16 +165,18 @@ func (c *Comm) Now() vtime.Time { return c.clock.Now() }
 // Compute advances this rank's clock by d seconds of local work.
 func (c *Comm) Compute(d vtime.Dur) { c.clock.Advance(d) }
 
-// World returns the enclosing world.
-func (c *Comm) World() *World { return c.world }
-
 func (c *Comm) checkPeer(r int) {
 	if r < 0 || r >= c.world.size {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", r, c.world.size))
 	}
 }
 
-func (c *Comm) send(to, tag int, data []float64) {
+// Send transmits data to another rank with a non-negative tag. It is
+// buffered (never blocks on the receiver).
+func (c *Comm) Send(to, tag int, data []float64) {
+	if tag < 0 {
+		panic("mpi: tags must be non-negative")
+	}
 	c.checkPeer(to)
 	depart := c.clock.Advance(c.world.SendOverhead)
 	arrive := c.world.fabric.Transfer(c.world.nodes[c.rank], c.world.nodes[to],
@@ -222,29 +189,16 @@ func (c *Comm) send(to, tag int, data []float64) {
 	c.world.inboxes[to].put(message{from: c.rank, tag: tag, data: cp, at: arrive})
 }
 
-func (c *Comm) recv(from, tag int) []float64 {
-	c.checkPeer(from)
-	m := c.world.inboxes[c.rank].take(from, tag)
-	c.clock.Sync(m.at)
-	return m.data
-}
-
-// Send transmits data to another rank with a non-negative user tag.
-// It is buffered (never blocks on the receiver).
-func (c *Comm) Send(to, tag int, data []float64) {
-	if tag < 0 {
-		panic("mpi: user tags must be non-negative")
-	}
-	c.send(to, tag, data)
-}
-
 // Recv blocks until a message with the given source and tag arrives and
 // returns its payload. The rank's clock is synced to the arrival time.
 func (c *Comm) Recv(from, tag int) []float64 {
 	if tag < 0 {
-		panic("mpi: user tags must be non-negative")
+		panic("mpi: tags must be non-negative")
 	}
-	return c.recv(from, tag)
+	c.checkPeer(from)
+	m := c.world.inboxes[c.rank].take(from, tag)
+	c.clock.Sync(m.at)
+	return m.data
 }
 
 // Sendrecv exchanges buffers with a partner rank (both sides must call
@@ -260,119 +214,6 @@ func (c *Comm) Sendrecv(partner, tag int, out []float64) []float64 {
 // touch the slice again.
 func (c *Comm) Recycle(buf []float64) {
 	c.world.putBuf(buf)
-}
-
-// Barrier synchronizes all ranks: no rank's clock proceeds past the
-// barrier before every rank has entered it. Implemented as a flat
-// gather-to-0 plus broadcast.
-func (c *Comm) Barrier() {
-	if c.world.size == 1 {
-		return
-	}
-	if c.rank == 0 {
-		for r := 1; r < c.world.size; r++ {
-			c.recv(r, tagBarrierUp)
-		}
-		for r := 1; r < c.world.size; r++ {
-			c.send(r, tagBarrierDown, nil)
-		}
-		return
-	}
-	c.send(0, tagBarrierUp, nil)
-	c.recv(0, tagBarrierDown)
-}
-
-// Bcast distributes root's buffer to every rank; each rank returns its
-// copy (root returns the input itself).
-func (c *Comm) Bcast(root int, data []float64) []float64 {
-	c.checkPeer(root)
-	if c.world.size == 1 {
-		return data
-	}
-	if c.rank == root {
-		for r := 0; r < c.world.size; r++ {
-			if r != root {
-				c.send(r, tagBcast, data)
-			}
-		}
-		return data
-	}
-	return c.recv(root, tagBcast)
-}
-
-// Reduce combines equal-length buffers elementwise with op onto root.
-// Non-root ranks return nil.
-func (c *Comm) Reduce(root int, op Op, data []float64) []float64 {
-	c.checkPeer(root)
-	if c.rank != root {
-		c.send(root, tagReduce, data)
-		return nil
-	}
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	for r := 0; r < c.world.size; r++ {
-		if r == root {
-			continue
-		}
-		part := c.recv(r, tagReduce)
-		if len(part) != len(acc) {
-			panic(fmt.Sprintf("mpi: Reduce length mismatch: %d vs %d", len(part), len(acc)))
-		}
-		for i := range acc {
-			acc[i] = op(acc[i], part[i])
-		}
-	}
-	return acc
-}
-
-// Allreduce is Reduce to rank 0 followed by Bcast.
-func (c *Comm) Allreduce(op Op, data []float64) []float64 {
-	red := c.Reduce(0, op, data)
-	return c.Bcast(0, red)
-}
-
-// Gather collects each rank's buffer at root; root returns a slice of
-// per-rank buffers indexed by rank, others return nil.
-func (c *Comm) Gather(root int, data []float64) [][]float64 {
-	c.checkPeer(root)
-	if c.rank != root {
-		c.send(root, tagGather, data)
-		return nil
-	}
-	out := make([][]float64, c.world.size)
-	cp := make([]float64, len(data))
-	copy(cp, data)
-	out[root] = cp
-	for r := 0; r < c.world.size; r++ {
-		if r != root {
-			out[r] = c.recv(r, tagGather)
-		}
-	}
-	return out
-}
-
-// Allgather gives every rank the per-rank buffers of all ranks.
-func (c *Comm) Allgather(data []float64) [][]float64 {
-	if c.world.size == 1 {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return [][]float64{cp}
-	}
-	for r := 0; r < c.world.size; r++ {
-		if r != c.rank {
-			c.send(r, tagAllgather, data)
-		}
-	}
-	out := make([][]float64, c.world.size)
-	cp := make([]float64, len(data))
-	copy(cp, data)
-	out[c.rank] = cp
-	for r := 0; r < c.world.size; r++ {
-		if r != c.rank {
-			out[r] = c.recv(r, tagAllgather)
-		}
-	}
-	return out
 }
 
 // Cart is a non-periodic Cartesian process topology over a communicator.
@@ -396,9 +237,6 @@ func (c *Comm) CartCreate(dims []int) *Cart {
 	}
 	return &Cart{comm: c, dims: append([]int(nil), dims...)}
 }
-
-// Dims returns the topology extents.
-func (ct *Cart) Dims() []int { return append([]int(nil), ct.dims...) }
 
 // Coords returns the Cartesian coordinates of a rank (row-major).
 func (ct *Cart) Coords(rank int) []int {

@@ -1,11 +1,7 @@
 package mpi
 
 import (
-	"math"
-	"math/rand"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"deisago/internal/netsim"
 	"deisago/internal/vtime"
@@ -104,89 +100,6 @@ func TestPerPairFIFO(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizesClocks(t *testing.T) {
-	w := testWorld(4)
-	after := make([]vtime.Time, 4)
-	w.Run(0, func(c *Comm) {
-		// Rank 2 does a lot of local work before the barrier.
-		if c.Rank() == 2 {
-			c.Compute(10)
-		}
-		c.Barrier()
-		after[c.Rank()] = c.Now()
-	})
-	for r, tm := range after {
-		if tm < 10 {
-			t.Fatalf("rank %d passed barrier at %v, before slowest rank entered", r, tm)
-		}
-	}
-}
-
-func TestBcast(t *testing.T) {
-	w := testWorld(4)
-	var mu sync.Mutex
-	got := map[int][]float64{}
-	w.Run(0, func(c *Comm) {
-		var data []float64
-		if c.Rank() == 1 {
-			data = []float64{3, 1, 4}
-		}
-		out := c.Bcast(1, data)
-		mu.Lock()
-		got[c.Rank()] = out
-		mu.Unlock()
-	})
-	for r := 0; r < 4; r++ {
-		if len(got[r]) != 3 || got[r][0] != 3 || got[r][2] != 4 {
-			t.Fatalf("rank %d got %v", r, got[r])
-		}
-	}
-}
-
-func TestReduceAllreduce(t *testing.T) {
-	w := testWorld(4)
-	var reduced []float64
-	all := make([][]float64, 4)
-	w.Run(0, func(c *Comm) {
-		data := []float64{float64(c.Rank()), 1}
-		if r := c.Reduce(0, Sum, data); r != nil {
-			reduced = r
-		}
-		all[c.Rank()] = c.Allreduce(Max, []float64{float64(c.Rank())})
-	})
-	if reduced[0] != 6 || reduced[1] != 4 {
-		t.Fatalf("Reduce = %v, want [6 4]", reduced)
-	}
-	for r := 0; r < 4; r++ {
-		if all[r][0] != 3 {
-			t.Fatalf("Allreduce rank %d = %v, want 3", r, all[r])
-		}
-	}
-}
-
-func TestGatherAllgather(t *testing.T) {
-	w := testWorld(3)
-	var gathered [][]float64
-	ag := make([][][]float64, 3)
-	w.Run(0, func(c *Comm) {
-		data := []float64{float64(c.Rank() * 10)}
-		if g := c.Gather(2, data); g != nil {
-			gathered = g
-		}
-		ag[c.Rank()] = c.Allgather(data)
-	})
-	for r := 0; r < 3; r++ {
-		if gathered[r][0] != float64(r*10) {
-			t.Fatalf("Gather[%d] = %v", r, gathered[r])
-		}
-		for rr := 0; rr < 3; rr++ {
-			if ag[r][rr][0] != float64(rr*10) {
-				t.Fatalf("Allgather[%d][%d] = %v", r, rr, ag[r][rr])
-			}
-		}
-	}
-}
-
 func TestSendrecvExchange(t *testing.T) {
 	w := testWorld(2)
 	got := make([][]float64, 2)
@@ -240,41 +153,6 @@ func TestCartBoundaries(t *testing.T) {
 			}
 		}
 	})
-}
-
-// Property: Allreduce(Sum) equals the sequential sum of all rank
-// contributions, for random vectors.
-func TestAllreduceQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(6) + 1 // ranks
-		l := rng.Intn(8) + 1 // vector length
-		inputs := make([][]float64, n)
-		want := make([]float64, l)
-		for r := 0; r < n; r++ {
-			inputs[r] = make([]float64, l)
-			for i := range inputs[r] {
-				inputs[r][i] = rng.NormFloat64()
-				want[i] += inputs[r][i]
-			}
-		}
-		w := testWorld(n)
-		results := make([][]float64, n)
-		w.Run(0, func(c *Comm) {
-			results[c.Rank()] = c.Allreduce(Sum, inputs[c.Rank()])
-		})
-		for r := 0; r < n; r++ {
-			for i := range want {
-				if math.Abs(results[r][i]-want[i]) > 1e-9 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestClockOriginAndCompute(t *testing.T) {

@@ -71,9 +71,6 @@ func NewPlane(lim Limits) *Plane {
 	return p
 }
 
-// Limits returns the plane's configured limits.
-func (p *Plane) Limits() Limits { return p.lim }
-
 // Admit asks to run a job declaring the given managed-memory estimate
 // (bytes; 0 = negligible). It returns ErrOverBudget immediately when
 // the estimate exceeds the per-tenant or whole-cluster budget — no

@@ -1,6 +1,5 @@
-// Kernel layer: the flat-slice fast paths, strided run decomposition,
-// worker pool knob, and the cache-blocked goroutine-parallel matrix
-// multiply that back every dense operation in this package.
+// Kernel layer: the flat-slice fast paths, strided run decomposition and
+// worker pool knob that back every dense operation in this package.
 //
 // Design rules (see DESIGN.md "kernel layer"):
 //
@@ -9,10 +8,10 @@
 //     (base, stride, count) by an allocation-free odometer, so even
 //     transposed/sliced inputs avoid the generic iterator.
 //   - Every parallel kernel partitions output into disjoint regions and
-//     keeps a fixed per-element reduction order (ascending k), so results
-//     are bit-identical to the sequential reference for any worker count.
-//     This protects the repository's "bit-equal PCA components" invariant
-//     (DESIGN §6) while still using real cores — measured time is virtual
+//     keeps a fixed per-element order, so results are bit-identical to
+//     the sequential reference for any worker count. This protects the
+//     repository's "bit-equal PCA components" invariant (DESIGN §6)
+//     while still using real cores — measured time is virtual
 //     (internal/vtime), so real-time parallelism cannot perturb figures.
 package ndarray
 
@@ -194,106 +193,6 @@ func forEachRun2(a, b *Array, f func(abase, bbase int, astride, bstride, count i
 		}
 		if d < 0 {
 			return
-		}
-	}
-}
-
-// Cache blocking and parallelism thresholds for MatMul. The B tile
-// (mmBlockK × mmBlockJ × 8 bytes = 1 MiB) is sized for L2 residency and
-// reused across every row of a band; bands of mmRowGrain rows are the
-// work-stealing unit. Multiplications below mmParallelFlops (m·k·n) run
-// on the calling goroutine to avoid fan-out overhead on small chunks.
-const (
-	mmBlockK        = 256
-	mmBlockJ        = 512
-	mmRowGrain      = 8
-	mmParallelFlops = 1 << 18
-)
-
-// matMulInto computes od = ad(m×k) · bd(k×n), all row-major contiguous.
-// Each output element accumulates its k terms in ascending order in both
-// the sequential and parallel paths, so the result is bit-identical for
-// any worker count.
-func matMulInto(od, ad, bd []float64, m, k, n int) {
-	if m == 0 || n == 0 {
-		return
-	}
-	if Workers() > 1 && m*k*n >= mmParallelFlops && m > 1 {
-		ParallelFor(m, mmRowGrain, func(lo, hi int) {
-			matMulRows(od, ad, bd, lo, hi, k, n)
-		})
-		return
-	}
-	matMulRows(od, ad, bd, 0, m, k, n)
-}
-
-// matMulRows computes output rows [i0,i1) with jc/kc/i/k tiling and a
-// 4-way k-unrolled inner kernel. The unrolled chain
-//
-//	t := orow[j] + a0·b0[j]; t += a1·b1[j]; ... ; orow[j] = t + a3·b3[j]
-//
-// performs the adds in exactly the order the scalar k-loop would (Go
-// forbids floating-point reassociation), so per-element accumulation is
-// ascending-k regardless of tiling, unrolling, or worker count. The
-// unroll quarters the output-row load/store and branch overhead per
-// multiply-add — the bottleneck of the scalar loop — while the j/k tiles
-// keep the four active B rows and the output row cache-resident for
-// large operands.
-func matMulRows(od, ad, bd []float64, i0, i1, k, n int) {
-	for jt := 0; jt < n; jt += mmBlockJ {
-		jhi := jt + mmBlockJ
-		if jhi > n {
-			jhi = n
-		}
-		for kt := 0; kt < k; kt += mmBlockK {
-			khi := kt + mmBlockK
-			if khi > k {
-				khi = k
-			}
-			for i := i0; i < i1; i++ {
-				arow := ad[i*k : (i+1)*k]
-				orow := od[i*n+jt : i*n+jhi]
-				kk := kt
-				for ; kk+4 <= khi; kk += 4 {
-					a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-						continue
-					}
-					b0 := bd[kk*n+jt : kk*n+jhi]
-					b1 := bd[(kk+1)*n+jt : (kk+1)*n+jhi]
-					b2 := bd[(kk+2)*n+jt : (kk+2)*n+jhi]
-					b3 := bd[(kk+3)*n+jt : (kk+3)*n+jhi]
-					// Two interleaved j-chains hide FP-add latency;
-					// each element's own chain is still ascending-k.
-					j := 0
-					for ; j+2 <= len(b0); j += 2 {
-						t := orow[j] + a0*b0[j]
-						u := orow[j+1] + a0*b0[j+1]
-						t += a1 * b1[j]
-						u += a1 * b1[j+1]
-						t += a2 * b2[j]
-						u += a2 * b2[j+1]
-						orow[j] = t + a3*b3[j]
-						orow[j+1] = u + a3*b3[j+1]
-					}
-					for ; j < len(b0); j++ {
-						t := orow[j] + a0*b0[j]
-						t += a1 * b1[j]
-						t += a2 * b2[j]
-						orow[j] = t + a3*b3[j]
-					}
-				}
-				for ; kk < khi; kk++ {
-					av := arow[kk]
-					if av == 0 {
-						continue
-					}
-					brow := bd[kk*n+jt : kk*n+jhi]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
 		}
 	}
 }

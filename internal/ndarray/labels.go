@@ -37,9 +37,6 @@ func (l *Labeled) axisOf(dim string) int {
 	panic(fmt.Sprintf("ndarray: no dimension named %q in %v", dim, l.Dims))
 }
 
-// DimLen returns the length of a named dimension.
-func (l *Labeled) DimLen(dim string) int { return l.Array.Dim(l.axisOf(dim)) }
-
 // StackToMatrix folds the array into a 2-D samples×features matrix: the
 // sample dims (in the given order) become the row index, the feature dims
 // become the column index. Every dimension of the array must appear in
@@ -69,37 +66,4 @@ func (l *Labeled) StackToMatrix(sampleDims, featureDims []string) *Array {
 		seen[p] = true
 	}
 	return l.Array.Transpose(perm...).Reshape(rows, cols)
-}
-
-// SplitBatches slices the labeled array along the named batch dimension
-// (typically time) and folds each slice into a samples×features matrix.
-// This is the batch stream consumed by incremental PCA.
-func (l *Labeled) SplitBatches(batchDim string, sampleDims, featureDims []string) []*Array {
-	ax := l.axisOf(batchDim)
-	n := l.Array.Dim(ax)
-	rest := make([]string, 0, len(l.Dims)-1)
-	for _, d := range l.Dims {
-		if d != batchDim {
-			rest = append(rest, d)
-		}
-	}
-	out := make([]*Array, n)
-	for t := 0; t < n; t++ {
-		ranges := make([]Range, l.Array.NDim())
-		for d := 0; d < l.Array.NDim(); d++ {
-			ranges[d] = All(l.Array.Dim(d))
-		}
-		ranges[ax] = Range{t, t + 1}
-		slab := l.Array.Slice(ranges...)
-		// Drop the batch axis.
-		shape := make([]int, 0, slab.NDim()-1)
-		for d, s := range slab.Shape() {
-			if d != ax {
-				shape = append(shape, s)
-			}
-		}
-		sub := NewLabeled(slab.Contiguous().Reshape(shape...), rest...)
-		out[t] = sub.StackToMatrix(sampleDims, featureDims)
-	}
-	return out
 }

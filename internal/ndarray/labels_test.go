@@ -7,8 +7,8 @@ import (
 func TestNewLabeled(t *testing.T) {
 	a := FromSlice(seq(24), 2, 3, 4)
 	l := NewLabeled(a, "t", "X", "Y")
-	if l.DimLen("t") != 2 || l.DimLen("X") != 3 || l.DimLen("Y") != 4 {
-		t.Fatal("DimLen wrong")
+	if l.axisOf("t") != 0 || l.axisOf("X") != 1 || l.axisOf("Y") != 2 {
+		t.Fatal("axisOf wrong")
 	}
 }
 
@@ -17,7 +17,7 @@ func TestNewLabeledPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"count":     func() { NewLabeled(a, "t") },
 		"duplicate": func() { NewLabeled(a, "t", "t") },
-		"missing":   func() { NewLabeled(a, "t", "X").DimLen("Y") },
+		"missing":   func() { NewLabeled(a, "t", "X").axisOf("Y") },
 	} {
 		func() {
 			defer func() {
@@ -72,39 +72,4 @@ func TestStackToMatrixPanicsOnPartialDims(t *testing.T) {
 		}
 	}()
 	l.StackToMatrix([]string{"Y"}, []string{"Y"})
-}
-
-func TestSplitBatches(t *testing.T) {
-	// (t=3, X=2, Y=4): split along t; each batch is (Y=4 samples, X=2 features).
-	arr := FromSlice(seq(24), 3, 2, 4)
-	l := NewLabeled(arr, "t", "X", "Y")
-	batches := l.SplitBatches("t", []string{"Y"}, []string{"X"})
-	if len(batches) != 3 {
-		t.Fatalf("got %d batches", len(batches))
-	}
-	for ti, b := range batches {
-		if b.Dim(0) != 4 || b.Dim(1) != 2 {
-			t.Fatalf("batch %d shape %v", ti, b.Shape())
-		}
-		for x := 0; x < 2; x++ {
-			for y := 0; y < 4; y++ {
-				if b.At(y, x) != arr.At(ti, x, y) {
-					t.Fatalf("batch %d [%d,%d] = %v, want %v", ti, y, x, b.At(y, x), arr.At(ti, x, y))
-				}
-			}
-		}
-	}
-}
-
-func TestSplitBatchesConcatEqualsFullStack(t *testing.T) {
-	// Concatenating per-t batches along samples must equal folding (t,Y)
-	// together as samples in one shot.
-	arr := FromSlice(seq(30), 5, 3, 2) // t=5, X=3, Y=2
-	l := NewLabeled(arr, "t", "X", "Y")
-	batches := l.SplitBatches("t", []string{"Y"}, []string{"X"})
-	full := l.StackToMatrix([]string{"t", "Y"}, []string{"X"})
-	got := Concat(0, batches...)
-	if !Equal(got, full) {
-		t.Fatal("batch concat != full stack")
-	}
 }

@@ -134,14 +134,6 @@ func (a *Array) Fill(v float64) {
 	})
 }
 
-func (a *Array) offsetOf(idx []int) int {
-	p := a.offset
-	for i, x := range idx {
-		p += x * a.strides[i]
-	}
-	return p
-}
-
 // Copy returns a fresh contiguous array with the same contents.
 func (a *Array) Copy() *Array {
 	out := New(a.shape...)
@@ -257,32 +249,6 @@ func (a *Array) Slice(ranges ...Range) *Array {
 	return out
 }
 
-// Row returns row i of a 2-D array as a view of shape [cols].
-func (a *Array) Row(i int) *Array {
-	if len(a.shape) != 2 {
-		panic("ndarray: Row requires a 2-d array")
-	}
-	return &Array{
-		shape:   []int{a.shape[1]},
-		strides: []int{a.strides[1]},
-		data:    a.data,
-		offset:  a.offset + i*a.strides[0],
-	}
-}
-
-// Col returns column j of a 2-D array as a view of shape [rows].
-func (a *Array) Col(j int) *Array {
-	if len(a.shape) != 2 {
-		panic("ndarray: Col requires a 2-d array")
-	}
-	return &Array{
-		shape:   []int{a.shape[0]},
-		strides: []int{a.strides[0]},
-		data:    a.data,
-		offset:  a.offset + j*a.strides[1],
-	}
-}
-
 func sameShape(a, b *Array) {
 	if len(a.shape) != len(b.shape) {
 		panic(fmt.Sprintf("ndarray: shape mismatch %v vs %v", a.shape, b.shape))
@@ -294,43 +260,6 @@ func sameShape(a, b *Array) {
 	}
 }
 
-// zipApply writes f(a[i], b[i]) into a fresh array. Contiguous inputs
-// take a goroutine-parallel flat path (disjoint output bands, so results
-// match the sequential loop bitwise); strided views are decomposed into
-// innermost runs without per-element index math.
-func zipApply(a, b *Array, f func(x, y float64) float64) *Array {
-	sameShape(a, b)
-	out := New(a.shape...)
-	od := out.data
-	if a.IsContiguous() && b.IsContiguous() {
-		ad := a.data[a.offset:]
-		bd := b.data[b.offset:]
-		ParallelFor(len(od), zipGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = f(ad[i], bd[i])
-			}
-		})
-		return out
-	}
-	i := 0
-	forEachRun2(a, b, func(abase, bbase, astride, bstride, count int) {
-		for k := 0; k < count; k++ {
-			od[i] = f(a.data[abase+k*astride], b.data[bbase+k*bstride])
-			i++
-		}
-	})
-	return out
-}
-
-// Add returns a + b elementwise.
-func Add(a, b *Array) *Array { return zipApply(a, b, func(x, y float64) float64 { return x + y }) }
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Array) *Array { return zipApply(a, b, func(x, y float64) float64 { return x - y }) }
-
-// Mul returns a * b elementwise.
-func Mul(a, b *Array) *Array { return zipApply(a, b, func(x, y float64) float64 { return x * y }) }
-
 // Scale returns a copy of the array with every element multiplied by s.
 func (a *Array) Scale(s float64) *Array {
 	out := a.Copy()
@@ -338,30 +267,6 @@ func (a *Array) Scale(s float64) *Array {
 	ParallelFor(len(buf), zipGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			buf[i] *= s
-		}
-	})
-	return out
-}
-
-// AddScalar returns a copy with s added to every element.
-func (a *Array) AddScalar(s float64) *Array {
-	out := a.Copy()
-	buf := out.data
-	ParallelFor(len(buf), zipGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			buf[i] += s
-		}
-	})
-	return out
-}
-
-// Apply returns a copy with f applied to every element.
-func (a *Array) Apply(f func(float64) float64) *Array {
-	out := a.Copy()
-	buf := out.data
-	ParallelFor(len(buf), zipGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			buf[i] = f(buf[i])
 		}
 	})
 	return out
@@ -384,15 +289,6 @@ func (a *Array) Sum() float64 {
 		}
 	})
 	return s
-}
-
-// Mean returns the mean of all elements (0 for an empty array).
-func (a *Array) Mean() float64 {
-	n := a.Size()
-	if n == 0 {
-		return 0
-	}
-	return a.Sum() / float64(n)
 }
 
 // SumAxis sums over one dimension, returning an array of rank n-1.
@@ -463,79 +359,6 @@ func (a *Array) reduceAxis(axis int, init float64, f func(acc, x float64) float6
 			base -= outShape[d] * outStrides[d]
 			idx[d] = 0
 		}
-	}
-	return out
-}
-
-// Norm returns the Frobenius norm.
-func (a *Array) Norm() float64 {
-	var s float64
-	a.forEachRun(func(base, stride, count int) {
-		if stride == 1 {
-			for _, v := range a.data[base : base+count] {
-				s += v * v
-			}
-			return
-		}
-		for i, p := 0, base; i < count; i, p = i+1, p+stride {
-			v := a.data[p]
-			s += v * v
-		}
-	})
-	return math.Sqrt(s)
-}
-
-// Dot returns the inner product of two arrays of identical shape.
-func Dot(a, b *Array) float64 {
-	sameShape(a, b)
-	var s float64
-	forEachRun2(a, b, func(abase, bbase, astride, bstride, count int) {
-		if astride == 1 && bstride == 1 {
-			ad := a.data[abase : abase+count]
-			bd := b.data[bbase : bbase+count]
-			for i, v := range ad {
-				s += v * bd[i]
-			}
-			return
-		}
-		for k := 0; k < count; k++ {
-			s += a.data[abase+k*astride] * b.data[bbase+k*bstride]
-		}
-	})
-	return s
-}
-
-// MatMul multiplies two 2-D arrays (m×k)·(k×n) → (m×n) with the
-// cache-blocked, goroutine-parallel kernel (see kernels.go). The output
-// is bit-identical to the naive sequential ikj loop for any worker count
-// because each element's k-terms accumulate in ascending order.
-func MatMul(a, b *Array) *Array {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("ndarray: MatMul requires 2-d arrays")
-	}
-	m, k, k2, n := a.shape[0], a.shape[1], b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("ndarray: MatMul inner dimensions differ: %v · %v", a.shape, b.shape))
-	}
-	ac, bc := a.Contiguous(), b.Contiguous()
-	out := New(m, n)
-	matMulInto(out.data, ac.Data(), bc.Data(), m, k, n)
-	return out
-}
-
-// Stack concatenates arrays of identical shape along a new leading axis.
-func Stack(arrays ...*Array) *Array {
-	if len(arrays) == 0 {
-		panic("ndarray: Stack of nothing")
-	}
-	for _, a := range arrays[1:] {
-		sameShape(arrays[0], a)
-	}
-	shape := append([]int{len(arrays)}, arrays[0].shape...)
-	out := New(shape...)
-	per := arrays[0].Size()
-	for i, a := range arrays {
-		copy(out.data[i*per:(i+1)*per], a.Contiguous().Data())
 	}
 	return out
 }
@@ -643,12 +466,4 @@ func AllClose(a, b *Array, tol float64) bool {
 		}
 	})
 	return close
-}
-
-// String renders small arrays for debugging.
-func (a *Array) String() string {
-	if a.Size() > 200 {
-		return fmt.Sprintf("ndarray.Array(shape=%v)", a.shape)
-	}
-	return fmt.Sprintf("ndarray.Array(shape=%v, data=%v)", a.shape, a.Copy().Data())
 }

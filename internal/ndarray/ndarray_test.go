@@ -123,38 +123,17 @@ func TestSliceView(t *testing.T) {
 	}
 }
 
-func TestRowCol(t *testing.T) {
-	a := FromSlice(seq(6), 2, 3)
-	r := a.Row(1)
-	if r.Dim(0) != 3 || r.At(0) != 3 || r.At(2) != 5 {
-		t.Fatal("Row wrong")
-	}
-	c := a.Col(2)
-	if c.Dim(0) != 2 || c.At(0) != 2 || c.At(1) != 5 {
-		t.Fatal("Col wrong")
-	}
-}
-
 func TestArithmetic(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := FromSlice([]float64{10, 20, 30, 40}, 2, 2)
-	if got := Add(a, b).Data(); got[3] != 44 {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := Sub(b, a).Data(); got[0] != 9 {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := Mul(a, b).Data(); got[2] != 90 {
-		t.Fatalf("Mul = %v", got)
-	}
-	if got := a.Scale(2).Data(); got[1] != 4 {
+	if got := a.Scale(2).Data(); got[1] != 4 || got[3] != 8 {
 		t.Fatalf("Scale = %v", got)
 	}
-	if got := a.AddScalar(1).Data(); got[0] != 2 {
-		t.Fatalf("AddScalar = %v", got)
+	if a.At(0, 1) != 2 {
+		t.Fatal("Scale modified its receiver")
 	}
-	if got := a.Apply(func(x float64) float64 { return -x }).Data(); got[0] != -1 {
-		t.Fatalf("Apply = %v", got)
+	// A strided view scales into a fresh contiguous array.
+	if got := a.Transpose().Scale(10).Data(); got[1] != 30 {
+		t.Fatalf("Scale of view = %v", got)
 	}
 }
 
@@ -162,9 +141,6 @@ func TestReductions(t *testing.T) {
 	a := FromSlice(seq(6), 2, 3) // [[0,1,2],[3,4,5]]
 	if a.Sum() != 15 {
 		t.Fatalf("Sum = %v", a.Sum())
-	}
-	if a.Mean() != 2.5 {
-		t.Fatalf("Mean = %v", a.Mean())
 	}
 	s0 := a.SumAxis(0)
 	if !Equal(s0, FromSlice([]float64{3, 5, 7}, 3)) {
@@ -183,65 +159,6 @@ func TestReductions(t *testing.T) {
 	}
 	if mn := a.MinAxis(1); !Equal(mn, FromSlice([]float64{0, 3}, 2)) {
 		t.Fatalf("MinAxis = %v", mn)
-	}
-}
-
-func TestNormDot(t *testing.T) {
-	a := FromSlice([]float64{3, 4}, 2)
-	if a.Norm() != 5 {
-		t.Fatalf("Norm = %v", a.Norm())
-	}
-	b := FromSlice([]float64{1, 2}, 2)
-	if Dot(a, b) != 11 {
-		t.Fatalf("Dot = %v", Dot(a, b))
-	}
-}
-
-func TestMatMul(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
-	want := FromSlice([]float64{58, 64, 139, 154}, 2, 2)
-	if !Equal(c, want) {
-		t.Fatalf("MatMul = %v", c)
-	}
-}
-
-func TestMatMulIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := New(5, 5)
-	eye := New(5, 5)
-	for i := 0; i < 5; i++ {
-		eye.Set(1, i, i)
-		for j := 0; j < 5; j++ {
-			a.Set(rng.NormFloat64(), i, j)
-		}
-	}
-	if !AllClose(MatMul(a, eye), a, 1e-14) {
-		t.Fatal("A·I != A")
-	}
-	if !AllClose(MatMul(eye, a), a, 1e-14) {
-		t.Fatal("I·A != A")
-	}
-}
-
-func TestMatMulTransposedView(t *testing.T) {
-	// MatMul must work on non-contiguous (transposed) inputs.
-	a := FromSlice(seq(6), 2, 3)
-	at := a.Transpose()
-	got := MatMul(at, a) // 3x3
-	want := MatMul(at.Copy(), a)
-	if !AllClose(got, want, 1e-13) {
-		t.Fatal("MatMul on view differs from copy")
-	}
-}
-
-func TestStack(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{3, 4}, 2)
-	s := Stack(a, b)
-	if s.Dim(0) != 2 || s.Dim(1) != 2 || s.At(1, 0) != 3 {
-		t.Fatalf("Stack = %v", s)
 	}
 }
 
@@ -278,7 +195,10 @@ func TestEqualAllClose(t *testing.T) {
 	if Equal(a, a.Reshape(4)) {
 		t.Fatal("Equal across shapes should be false")
 	}
-	b := a.AddScalar(1e-9)
+	b := a.Copy()
+	for i := range b.Data() {
+		b.Data()[i] += 1e-9
+	}
 	if Equal(a, b) {
 		t.Fatal("Equal should be exact")
 	}
@@ -303,7 +223,7 @@ func TestEmptyArrays(t *testing.T) {
 	if a.Size() != 0 {
 		t.Fatal("empty size")
 	}
-	if a.Sum() != 0 || a.Mean() != 0 {
+	if a.Sum() != 0 {
 		t.Fatal("empty reductions")
 	}
 	b := a.Copy()
@@ -366,43 +286,19 @@ func TestSumDecompositionQuick(t *testing.T) {
 	}
 }
 
-// Property: (A·B)ᵀ == Bᵀ·Aᵀ.
-func TestMatMulTransposeIdentityQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, k, n := rng.Intn(5)+1, rng.Intn(5)+1, rng.Intn(5)+1
-		a, b := New(m, k), New(k, n)
-		for i := range a.Data() {
-			a.Data()[i] = rng.NormFloat64()
-		}
-		for i := range b.Data() {
-			b.Data()[i] = rng.NormFloat64()
-		}
-		lhs := MatMul(a, b).Transpose().Copy()
-		rhs := MatMul(b.Transpose(), a.Transpose())
-		return AllClose(lhs, rhs, 1e-10)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPanics(t *testing.T) {
 	a := New(2, 2)
 	for name, fn := range map[string]func(){
-		"bad index":        func() { a.At(2, 0) },
-		"wrong rank":       func() { a.At(0) },
-		"bad reshape":      func() { a.Reshape(3) },
-		"two inferred":     func() { a.Reshape(-1, -1) },
-		"bad perm":         func() { a.Transpose(0, 0) },
-		"bad slice":        func() { a.Slice(Range{0, 3}, All(2)) },
-		"shape mismatch":   func() { Add(a, New(2, 3)) },
-		"matmul inner dim": func() { MatMul(a, New(3, 2)) },
-		"matmul rank":      func() { MatMul(a, New(2)) },
-		"neg shape":        func() { New(-1) },
-		"data on view":     func() { a.Transpose().Data() },
-		"concat mismatch":  func() { Concat(0, a, New(2, 3)) },
-		"stack empty":      func() { Stack() },
+		"bad index":       func() { a.At(2, 0) },
+		"wrong rank":      func() { a.At(0) },
+		"bad reshape":     func() { a.Reshape(3) },
+		"two inferred":    func() { a.Reshape(-1, -1) },
+		"bad perm":        func() { a.Transpose(0, 0) },
+		"bad slice":       func() { a.Slice(Range{0, 3}, All(2)) },
+		"shape mismatch":  func() { a.CopyFrom(New(2, 3)) },
+		"neg shape":       func() { New(-1) },
+		"data on view":    func() { a.Transpose().Data() },
+		"concat mismatch": func() { Concat(0, a, New(2, 3)) },
 	} {
 		func() {
 			defer func() {

@@ -149,8 +149,8 @@ type Fabric struct {
 	leaves []*leafSwitch
 
 	// Fault hooks behind an atomic snapshot: the transfer path loads the
-	// current slice pointer; AddFaultHook/ClearFaultHooks/Reset swap in a
-	// fresh slice under hookMu (copy-on-write, writers only).
+	// current slice pointer; AddFaultHook swaps in a fresh slice under
+	// hookMu (copy-on-write, writers only).
 	hooks  atomic.Pointer[[]FaultHook]
 	hookMu sync.Mutex
 
@@ -204,30 +204,8 @@ func New(cfg Config, numNodes int) *Fabric {
 	return f
 }
 
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // NumNodes returns the number of nodes.
 func (f *Fabric) NumNodes() int { return len(f.nodes) }
-
-// Leaf returns the leaf-switch index of a node.
-func (f *Fabric) Leaf(n NodeID) int {
-	return f.nodes[f.check(n)].leaf
-}
-
-// Hops returns the number of switch hops between two nodes: 0 on the same
-// node, 2 within one leaf switch, 4 across the spine.
-func (f *Fabric) Hops(from, to NodeID) int {
-	a, b := f.nodes[f.check(from)], f.nodes[f.check(to)]
-	switch {
-	case a.id == b.id:
-		return 0
-	case a.leaf == b.leaf:
-		return 2
-	default:
-		return 4
-	}
-}
 
 func (f *Fabric) check(n NodeID) int {
 	if int(n) < 0 || int(n) >= len(f.nodes) {
@@ -381,13 +359,6 @@ func (f *Fabric) AddFaultHook(h FaultHook) {
 	f.hookMu.Unlock()
 }
 
-// ClearFaultHooks removes every installed fault hook.
-func (f *Fabric) ClearFaultHooks() {
-	f.hookMu.Lock()
-	f.hooks.Store(nil)
-	f.hookMu.Unlock()
-}
-
 // verdict combines every hook's verdict for one transfer. It reads the
 // hook snapshot through the atomic pointer: no lock on the transfer path.
 func (f *Fabric) verdict(from, to NodeID, size int64, depart vtime.Time) FaultVerdict {
@@ -484,42 +455,4 @@ func (f *Fabric) TransferChecked(from, to NodeID, size int64, depart vtime.Time)
 	bm.inWait.Observe(s4 - start)
 	end = vtime.MaxTime(end, e4)
 	return end + lat, !v.Drop
-}
-
-// TransferDuration returns the unloaded (contention-free, jitter-free)
-// duration of a transfer of size bytes between the two nodes. It is useful
-// for analytic checks in tests.
-func (f *Fabric) TransferDuration(from, to NodeID, size int64) vtime.Dur {
-	if from == to {
-		return f.cfg.SoftwareLatency
-	}
-	d := f.cfg.SoftwareLatency + float64(size)/f.cfg.LinkBandwidth +
-		f.cfg.HopLatency*float64(f.Hops(from, to))
-	if f.Hops(from, to) == 4 {
-		// The slowest pipeline stage bounds cut-through transfers.
-		up := float64(size) / f.upBW
-		if up > float64(size)/f.cfg.LinkBandwidth {
-			d = f.cfg.SoftwareLatency + up + f.cfg.HopLatency*4
-		}
-	}
-	return d
-}
-
-// Reset returns every link to idle at time zero and clears the fault
-// hooks. Traffic totals live in the attached registry, which a fresh run
-// replaces with UseMetrics. Jitter needs no re-seeding: it is a
-// stateless hash of each transfer, so repeated runs are identical by
-// construction.
-func (f *Fabric) Reset() {
-	f.hookMu.Lock()
-	f.hooks.Store(nil)
-	f.hookMu.Unlock()
-	for _, n := range f.nodes {
-		n.egress.Reset()
-		n.ingress.Reset()
-	}
-	for _, l := range f.leaves {
-		l.up.Reset()
-		l.down.Reset()
-	}
 }

@@ -3,7 +3,6 @@ package pdi
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode"
 )
 
@@ -341,20 +340,4 @@ func toFloat(v any) (float64, error) {
 		return float64(x), nil
 	}
 	return 0, fmt.Errorf("pdi: non-numeric operand %T (%v)", v, v)
-}
-
-// FormatContext renders a context for error messages and debugging.
-func FormatContext(ctx map[string]any) string {
-	var sb strings.Builder
-	sb.WriteString("{")
-	first := true
-	for k, v := range ctx {
-		if !first {
-			sb.WriteString(", ")
-		}
-		first = false
-		fmt.Fprintf(&sb, "%s: %v", k, v)
-	}
-	sb.WriteString("}")
-	return sb.String()
 }

@@ -43,14 +43,6 @@ func New(configYAML string) (*System, error) {
 	return &System{config: cfg, meta: map[string]any{}}, nil
 }
 
-// NewFromConfig builds a System from an already-parsed configuration.
-func NewFromConfig(cfg map[string]any) *System {
-	return &System{config: cfg, meta: map[string]any{}}
-}
-
-// Config returns the parsed configuration tree.
-func (s *System) Config() map[string]any { return s.config }
-
 // PluginConfig returns the configuration block of a named plugin.
 func (s *System) PluginConfig(name string) (map[string]any, bool) {
 	plugins, ok := s.config["plugins"].(map[string]any)
@@ -98,18 +90,9 @@ func normalize(v any) any {
 	}
 }
 
-// Meta returns an exposed metadata value.
-func (s *System) Meta(name string) (any, bool) {
-	v, ok := s.meta[name]
-	return v, ok
-}
-
 // Metadata returns the live metadata context used for expression
 // evaluation.
 func (s *System) Metadata() map[string]any { return s.meta }
-
-// Eval evaluates an expression against the exposed metadata.
-func (s *System) Eval(expr string) (any, error) { return EvalExpr(expr, s.meta) }
 
 // EvalIntList evaluates a YAML list of scalar expressions to ints.
 func (s *System) EvalIntList(v any) ([]int, error) {
@@ -130,24 +113,6 @@ func (s *System) EvalIntList(v any) ([]int, error) {
 		out[i] = n
 	}
 	return out, nil
-}
-
-// DataSize resolves the declared size of a `data:` entry against the
-// current metadata.
-func (s *System) DataSize(name string) ([]int, error) {
-	data, ok := s.config["data"].(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("pdi: configuration has no data section")
-	}
-	d, ok := data[name].(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("pdi: data %q not declared", name)
-	}
-	size, ok := d["size"]
-	if !ok {
-		return nil, fmt.Errorf("pdi: data %q has no size", name)
-	}
-	return s.EvalIntList(size)
 }
 
 // HasData reports whether a buffer name is declared in the data section.

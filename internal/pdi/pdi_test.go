@@ -2,7 +2,6 @@ package pdi
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -340,21 +339,23 @@ func TestSystemMetadataAndDataSize(t *testing.T) {
 		"proc":        []int{2, 2},
 		"maxTimeStep": 10,
 	})
-	if v, ok := s.Meta("rank"); !ok || v.(int64) != 3 {
-		t.Fatalf("Meta(rank) = %v", v)
+	if v, ok := s.Metadata()["rank"]; !ok || v.(int64) != 3 {
+		t.Fatalf("metadata rank = %v", v)
 	}
-	size, err := s.DataSize("temp")
+	// The declared size of temp evaluates against the exposed metadata.
+	temp := s.config["data"].(map[string]any)["temp"].(map[string]any)
+	size, err := s.EvalIntList(temp["size"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if size[0] != 4 || size[1] != 8 {
-		t.Fatalf("DataSize = %v", size)
+		t.Fatalf("temp size = %v", size)
 	}
-	if _, err := s.DataSize("ghost"); err == nil {
-		t.Fatal("DataSize of undeclared data")
+	if !s.HasData("temp") || s.HasData("ghost") {
+		t.Fatal("HasData wrong")
 	}
-	if v, err := s.Eval("$cfg.loc[0] * ($rank % $cfg.proc[0])"); err != nil || v.(int64) != 4 {
-		t.Fatalf("Eval = %v, %v", v, err)
+	if v, err := EvalExpr("$cfg.loc[0] * ($rank % $cfg.proc[0])", s.Metadata()); err != nil || v.(int64) != 4 {
+		t.Fatalf("EvalExpr = %v, %v", v, err)
 	}
 }
 
@@ -381,7 +382,7 @@ func TestPluginConfig(t *testing.T) {
 }
 
 func TestEvalIntList(t *testing.T) {
-	s := NewFromConfig(map[string]any{})
+	s := &System{meta: map[string]any{}}
 	s.Expose("n", 5)
 	got, err := s.EvalIntList([]any{int64(1), "$n * 2", "3"})
 	if err != nil {
@@ -395,13 +396,6 @@ func TestEvalIntList(t *testing.T) {
 	}
 	if _, err := s.EvalIntList([]any{"1.5"}); err == nil {
 		t.Fatal("non-integer accepted")
-	}
-}
-
-func TestFormatContext(t *testing.T) {
-	out := FormatContext(map[string]any{"a": int64(1)})
-	if !strings.Contains(out, "a: 1") {
-		t.Fatalf("FormatContext = %q", out)
 	}
 }
 
@@ -522,10 +516,7 @@ func TestApplyMixedTypes(t *testing.T) {
 }
 
 func TestConfigAndMetadataAccessors(t *testing.T) {
-	s := NewFromConfig(map[string]any{"k": int64(1)})
-	if s.Config()["k"].(int64) != 1 {
-		t.Fatal("Config accessor")
-	}
+	s := &System{meta: map[string]any{}}
 	s.Expose("a", 5)
 	md := s.Metadata()
 	if md["a"].(int64) != 5 {

@@ -12,7 +12,6 @@ package pfs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"deisago/internal/metrics"
@@ -115,9 +114,6 @@ func New(cfg Config) *FS {
 	return fs
 }
 
-// Config returns the file system configuration.
-func (fs *FS) Config() Config { return fs.cfg }
-
 // UseMetrics attaches a registry: reads and writes count bytes per
 // operation and per OST (component "pfs"), metadata operations are
 // counted, and RecordUtilization can sample OST busy fractions. Call
@@ -170,55 +166,6 @@ func (fs *FS) Create(path string, at vtime.Time) vtime.Time {
 	fs.mdsOps.Inc()
 	fs.mu.Unlock()
 	return end
-}
-
-// Exists reports whether a file exists.
-func (fs *FS) Exists(path string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	_, ok := fs.files[path]
-	return ok
-}
-
-// Remove deletes a file, charging one metadata operation.
-func (fs *FS) Remove(path string, at vtime.Time) (vtime.Time, error) {
-	fs.mu.Lock()
-	_, ok := fs.files[path]
-	delete(fs.files, path)
-	if ok {
-		fs.mdsOps.Inc()
-	}
-	fs.mu.Unlock()
-	if !ok {
-		return at, fmt.Errorf("pfs: remove %s: no such file", path)
-	}
-	_, end := fs.mds.Acquire(at, fs.cfg.MetaLatency)
-	return end, nil
-}
-
-// List returns all file paths in lexical order.
-func (fs *FS) List() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns a file's length in bytes, or an error if it does not exist.
-func (fs *FS) Size(path string) (int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
-		return 0, fmt.Errorf("pfs: stat %s: no such file", path)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return int64(len(f.data)), nil
 }
 
 func (fs *FS) lookup(path string) (*file, error) {
@@ -286,18 +233,6 @@ func (fs *FS) WriteAtCost(path string, off int64, p []byte, costBytes int64, at 
 	return fs.stripeCost(off, costBytes, at), nil
 }
 
-// ReadAt reads n bytes at the given offset and returns the data and the
-// virtual completion time.
-func (fs *FS) ReadAt(path string, off, n int64, at vtime.Time) ([]byte, vtime.Time, error) {
-	return fs.ReadAtCost(path, off, n, n, at)
-}
-
-// ReadAtCost is ReadAt with an explicit modelled transfer size (see
-// WriteAtCost).
-func (fs *FS) ReadAtCost(path string, off, n, costBytes int64, at vtime.Time) ([]byte, vtime.Time, error) {
-	return fs.ReadAtCostBuf(path, off, n, costBytes, nil, at)
-}
-
 // ReadAtCostBuf is ReadAtCost reading into buf when buf has capacity for
 // n bytes (a fresh slice is allocated otherwise), so callers with a
 // staging-buffer pool avoid a per-read allocation. The returned slice is
@@ -329,14 +264,5 @@ func (fs *FS) ReleaseBefore(t vtime.Time) {
 	fs.mds.Release(t)
 	for _, o := range fs.osts {
 		o.Release(t)
-	}
-}
-
-// ResetTime returns all OSTs and the MDS to idle at time zero without
-// touching file contents. Traffic totals live in the attached registry.
-func (fs *FS) ResetTime() {
-	fs.mds.Reset()
-	for _, o := range fs.osts {
-		o.Reset()
 	}
 }

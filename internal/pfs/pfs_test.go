@@ -8,7 +8,25 @@ import (
 	"testing/quick"
 
 	"deisago/internal/metrics"
+	"deisago/internal/vtime"
 )
+
+// ReadAt reads n bytes at off, charging the file system for n bytes: the
+// read-back the tests check what writers left with.
+func (fs *FS) ReadAt(path string, off, n int64, at vtime.Time) ([]byte, vtime.Time, error) {
+	return fs.ReadAtCostBuf(path, off, n, n, nil, at)
+}
+
+// size returns a file's length in bytes.
+func (fs *FS) size(path string) (int64, error) {
+	f, err := fs.lookup(path)
+	if err != nil {
+		return 0, err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return int64(len(f.data)), nil
+}
 
 func testConfig() Config {
 	return Config{OSTs: 4, OSTBandwidth: 1e6, StripeSize: 1024, MetaLatency: 1e-3}
@@ -41,7 +59,7 @@ func TestWriteGrowsAndOverwrites(t *testing.T) {
 	fs := New(testConfig())
 	fs.Create("f", 0)
 	fs.WriteAt("f", 10, []byte{1, 2, 3}, 0)
-	sz, err := fs.Size("f")
+	sz, err := fs.size("f")
 	if err != nil || sz != 13 {
 		t.Fatalf("Size = %d, err %v", sz, err)
 	}
@@ -76,27 +94,8 @@ func TestMissingFile(t *testing.T) {
 	if _, _, err := fs.ReadAt("nope", 0, 1, 0); err == nil {
 		t.Fatal("read of missing file should error")
 	}
-	if _, err := fs.Size("nope"); err == nil {
+	if _, err := fs.size("nope"); err == nil {
 		t.Fatal("stat of missing file should error")
-	}
-	if _, err := fs.Remove("nope", 0); err == nil {
-		t.Fatal("remove of missing file should error")
-	}
-}
-
-func TestRemoveAndList(t *testing.T) {
-	fs := New(testConfig())
-	fs.Create("b", 0)
-	fs.Create("a", 0)
-	got := fs.List()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("List = %v", got)
-	}
-	if _, err := fs.Remove("a", 0); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("a") || !fs.Exists("b") {
-		t.Fatal("Remove/Exists inconsistent")
 	}
 }
 
@@ -152,7 +151,7 @@ func TestTraffic(t *testing.T) {
 	fs.Create("f", 0)
 	fs.WriteAt("f", 0, make([]byte, 100), 0)
 	fs.ReadAt("f", 0, 40, 0)
-	fs.ReadAtCost("f", 0, 10, 1000, 0) // the modelled size is what counts
+	fs.ReadAtCostBuf("f", 0, 10, 1000, nil, 0) // the modelled size is what counts
 	snap := reg.Snapshot()
 	r, w := snap.Counter("pfs/bytes{op=read}"), snap.Counter("pfs/bytes{op=write}")
 	if r != 1040 || w != 100 {

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"deisago/internal/mpi"
 	"deisago/internal/ndarray"
@@ -132,9 +131,6 @@ func (h *Heat2D) Origin() (x0, y0 int) {
 	return h.px * h.lx, h.py * h.ly
 }
 
-// Coords returns this rank's process-grid coordinates.
-func (h *Heat2D) Coords() (px, py int) { return h.px, h.py }
-
 // Step advances one timestep: halo exchange, then the five-point stencil
 // update. The rank's virtual clock advances by the modelled compute cost
 // plus the communication time of the exchange.
@@ -247,26 +243,6 @@ func (h *Heat2D) setCol(j int, vals []float64) {
 func (h *Heat2D) Local() *ndarray.Array {
 	return h.u.Slice(ndarray.Range{Start: 1, Stop: h.lx + 1},
 		ndarray.Range{Start: 1, Stop: h.ly + 1}).Copy()
-}
-
-// Steps returns how many timesteps have been taken.
-func (h *Heat2D) Steps() int { return h.step }
-
-// LocalMinMax returns the interior extrema (for max-principle checks).
-func (h *Heat2D) LocalMinMax() (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := 1; i <= h.lx; i++ {
-		for j := 1; j <= h.ly; j++ {
-			v := h.u.At(i, j)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	return lo, hi
 }
 
 // RunSerial solves the same problem on one rank without MPI, for

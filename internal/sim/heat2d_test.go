@@ -225,3 +225,26 @@ func TestDissipationQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Coords returns this rank's process-grid coordinates.
+func (h *Heat2D) Coords() (px, py int) { return h.px, h.py }
+
+// Steps returns how many timesteps have been taken.
+func (h *Heat2D) Steps() int { return h.step }
+
+// LocalMinMax returns the interior extrema (for max-principle checks).
+func (h *Heat2D) LocalMinMax() (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for i := 1; i <= h.lx; i++ {
+		for j := 1; j <= h.ly; j++ {
+			v := h.u.At(i, j)
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+	}
+	return lo, hi
+}

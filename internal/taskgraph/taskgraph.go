@@ -59,7 +59,7 @@ func (g *Graph) AddTimed(key Key, deps []Key, fn TimedFn, cost vtime.Dur) *Task 
 type Graph struct {
 	tasks map[Key]*Task
 	// sorted caches the Keys() order. nil means dirty; the length guard
-	// in Keys additionally catches direct map writes (Cull, Merge).
+	// in Keys additionally catches direct map writes (Cull).
 	// Callers must treat the returned slice as read-only.
 	sorted []Key
 }
@@ -124,36 +124,6 @@ func (g *Graph) Walk(yield func(Key, *Task) bool) {
 			return
 		}
 	}
-}
-
-// Merge copies all tasks of other into g; duplicate keys must denote
-// identical task pointers (shared subgraphs), otherwise Merge panics.
-func (g *Graph) Merge(other *Graph) {
-	for k, t := range other.tasks {
-		if existing, ok := g.tasks[k]; ok {
-			if existing != t {
-				panic(fmt.Sprintf("taskgraph: merge conflict on key %q", k))
-			}
-			continue
-		}
-		g.tasks[k] = t
-		g.sorted = nil
-	}
-}
-
-// Validate checks that every dependency is present and that the graph is
-// acyclic. External dependencies can be declared via the externals set
-// (keys satisfied from outside the graph).
-func (g *Graph) Validate(externals map[Key]bool) error {
-	for k, t := range g.tasks {
-		for _, d := range t.Deps {
-			if !g.Has(d) && !externals[d] {
-				return fmt.Errorf("taskgraph: task %q depends on missing key %q", k, d)
-			}
-		}
-	}
-	_, err := g.TopoSort(g.Keys(), externals)
-	return err
 }
 
 // TopoSort returns the keys reachable from targets in a valid execution
@@ -223,25 +193,6 @@ func (g *Graph) Dependents() map[Key][]Key {
 	for _, k := range g.Keys() {
 		for _, d := range g.tasks[k].Deps {
 			out[d] = append(out[d], k)
-		}
-	}
-	return out
-}
-
-// Roots returns tasks with no in-graph dependencies (their deps are empty
-// or all external), in sorted order.
-func (g *Graph) Roots(externals map[Key]bool) []Key {
-	var out []Key
-	for _, k := range g.Keys() {
-		root := true
-		for _, d := range g.tasks[k].Deps {
-			if g.Has(d) && !externals[d] {
-				root = false
-				break
-			}
-		}
-		if root {
-			out = append(out, k)
 		}
 	}
 	return out

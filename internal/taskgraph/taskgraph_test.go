@@ -7,6 +7,21 @@ import (
 	"testing/quick"
 )
 
+// Validate is the well-formedness oracle the graph tests (Fuse's
+// included) check against: every dependency is present or external, and
+// the graph is acyclic.
+func (g *Graph) Validate(externals map[Key]bool) error {
+	for k, t := range g.tasks {
+		for _, d := range t.Deps {
+			if !g.Has(d) && !externals[d] {
+				return fmt.Errorf("taskgraph: task %q depends on missing key %q", k, d)
+			}
+		}
+	}
+	_, err := g.TopoSort(g.Keys(), externals)
+	return err
+}
+
 func addConst(g *Graph, k Key, v float64) {
 	g.AddFn(k, nil, func([]any) (any, error) { return v, nil }, 0)
 }
@@ -149,47 +164,6 @@ func TestDependents(t *testing.T) {
 	}
 }
 
-func TestRoots(t *testing.T) {
-	g := diamond()
-	r := g.Roots(nil)
-	if len(r) != 1 || r[0] != "a" {
-		t.Fatalf("Roots = %v", r)
-	}
-	// With 'a' treated as externally satisfied, b and c become roots too.
-	g2 := New()
-	g2.AddFn("b", []Key{"ext"}, func([]any) (any, error) { return nil, nil }, 0)
-	r2 := g2.Roots(map[Key]bool{"ext": true})
-	if len(r2) != 1 || r2[0] != "b" {
-		t.Fatalf("Roots with externals = %v", r2)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	g1 := New()
-	addConst(g1, "a", 1)
-	shared := g1.Get("a")
-	g2 := New()
-	g2.Add(shared)
-	addSum(g2, "b", "a")
-	g1.Merge(g2)
-	if g1.Len() != 2 {
-		t.Fatalf("merged Len = %d", g1.Len())
-	}
-}
-
-func TestMergeConflictPanics(t *testing.T) {
-	g1 := New()
-	addConst(g1, "a", 1)
-	g2 := New()
-	addConst(g2, "a", 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("conflicting merge did not panic")
-		}
-	}()
-	g1.Merge(g2)
-}
-
 func TestIsData(t *testing.T) {
 	g := New()
 	g.Add(&Task{Key: "data"})
@@ -289,14 +263,6 @@ func TestKeysCachedAndInvalidated(t *testing.T) {
 	after := g.Keys()
 	if len(after) != 5 || after[0] != "a" || after[1] != "aa" {
 		t.Fatalf("Keys() after Add = %v, want aa in sorted position", after)
-	}
-	// Merge invalidates.
-	other := New()
-	addConst(other, "zz", 3)
-	g.Merge(other)
-	merged := g.Keys()
-	if len(merged) != 6 || merged[5] != "zz" {
-		t.Fatalf("Keys() after Merge = %v, want zz last", merged)
 	}
 }
 

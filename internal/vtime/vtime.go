@@ -75,14 +75,6 @@ func (c *Clock) Sync(t Time) Time {
 	return c.now
 }
 
-// Set forces the clock to t. It is intended for run resets in tests and
-// harness code, not for normal actor operation.
-func (c *Clock) Set(t Time) {
-	c.mu.Lock()
-	c.now = t
-	c.mu.Unlock()
-}
-
 // Resource models a serially shared piece of hardware (a NIC port, a
 // switch uplink, the PFS, one scheduler CPU). A request for d seconds of
 // service starting no earlier than time t is booked into the earliest
@@ -114,9 +106,6 @@ type interval struct {
 func NewResource(name string) *Resource {
 	return &Resource{name: name}
 }
-
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire requests d seconds of exclusive service starting no earlier than
 // at. It returns the service start and end times. d must be non-negative.
@@ -184,22 +173,6 @@ func (r *Resource) compact() {
 		copy(trimmed, r.intervals)
 		r.intervals = trimmed
 	}
-}
-
-// Watermark returns the current release watermark.
-func (r *Resource) Watermark() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.watermark
-}
-
-// IntervalCount returns the number of distinct busy intervals currently
-// retained. It exists so tests and benchmarks can assert that compaction
-// bounds the booking table.
-func (r *Resource) IntervalCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.intervals)
 }
 
 // book finds the earliest gap of length d at or after at, inserts the
@@ -275,25 +248,11 @@ func (r *Resource) horizon() Time {
 	return r.intervals[len(r.intervals)-1].end
 }
 
-// FreeAt returns the time after which the resource has no bookings.
-func (r *Resource) FreeAt() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.horizon()
-}
-
 // Busy returns the total service time the resource has performed.
 func (r *Resource) Busy() Dur {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.busy
-}
-
-// Requests returns the number of Acquire calls served.
-func (r *Resource) Requests() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nreq
 }
 
 // Reset returns the resource to the idle state at time 0, clearing
@@ -303,36 +262,6 @@ func (r *Resource) Reset() {
 	r.intervals, r.busy, r.nreq = nil, 0, 0
 	r.watermark = 0
 	r.mu.Unlock()
-}
-
-// Series is an append-only collection of samples used to aggregate
-// per-iteration or per-rank timings. It is safe for concurrent use.
-type Series struct {
-	mu sync.Mutex
-	xs []float64
-}
-
-// Add appends one sample.
-func (s *Series) Add(x float64) {
-	s.mu.Lock()
-	s.xs = append(s.xs, x)
-	s.mu.Unlock()
-}
-
-// Values returns a copy of the samples in insertion order.
-func (s *Series) Values() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.xs)
 }
 
 // Stats summarizes a sample set.

@@ -41,14 +41,6 @@ func TestClockSyncMonotone(t *testing.T) {
 	}
 }
 
-func TestClockSet(t *testing.T) {
-	c := NewClock(5)
-	c.Set(1)
-	if got := c.Now(); got != 1 {
-		t.Fatalf("after Set(1), Now() = %v", got)
-	}
-}
-
 func TestClockNegativeAdvancePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -232,24 +224,6 @@ func TestResourceConcurrentNoOverlap(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	for i := 1; i <= 4; i++ {
-		s.Add(float64(i))
-	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
-	}
-	v := s.Values()
-	if len(v) != 4 || v[0] != 1 || v[3] != 4 {
-		t.Fatalf("Values = %v", v)
-	}
-	v[0] = 99 // must be a copy
-	if s.Values()[0] != 1 {
-		t.Fatal("Values returned a view, want a copy")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	st := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if st.N != 8 {
@@ -321,4 +295,34 @@ func TestMaxTime(t *testing.T) {
 	if MaxTime(-5, -2, -9) != -2 {
 		t.Fatal("MaxTime over negatives wrong")
 	}
+}
+
+// Watermark returns the current release watermark.
+func (r *Resource) Watermark() Time {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.watermark
+}
+
+// IntervalCount returns the number of distinct busy intervals currently
+// retained. It exists so tests and benchmarks can assert that compaction
+// bounds the booking table.
+func (r *Resource) IntervalCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.intervals)
+}
+
+// FreeAt returns the time after which the resource has no bookings.
+func (r *Resource) FreeAt() Time {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.horizon()
+}
+
+// Requests returns the number of Acquire calls served.
+func (r *Resource) Requests() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.nreq
 }

@@ -4,10 +4,11 @@
 # and multi-tenant explorers), a race-detector pass over the packages
 # with parallel kernels or concurrent runtime machinery (admission
 # queue, FCFS resources and MPI rank goroutines included; with the
-# scheduler invariant auditor on and a fixed chaos seed), the CLI
-# acceptance run (chaos plus every quick-scale view, auditor on), short
-# fuzz smokes of the scheduler auditor and the worker memory governor,
-# the planted-mutant self-test of the schedule-space oracle, and the
+# scheduler invariant auditor on and a fixed chaos seed), the reach audit
+# (which also runs the CLI acceptance command, chaos plus every
+# quick-scale view, auditor on; see scripts/reach.sh), short fuzz smokes
+# of the scheduler auditor and the worker memory governor, the
+# planted-mutant self-test of the schedule-space oracle, and the
 # benchmark's own tests (bench/ is a module of its own; run the
 # benchmark itself with `bash bench/run.sh`, see BENCHMARK.json). Each
 # stage after the coverage pass differs from it in flags, build tags or
@@ -90,10 +91,14 @@ DEISA_AUDIT=1 go test -race \
     ./internal/vtime \
     ./internal/mpi
 
-echo "== CLI acceptance: chaos run and every view (fixed seed, auditor on) =="
-# One invocation runs the chaos scenario and then every figure,
-# ablation and summary as views of one run set, each configuration once.
-DEISA_AUDIT=1 go run ./cmd/experiments -quick -all -ablation all -chaos-seed 7
+echo "== reach audit: CLI acceptance, README invocations, examples, bench tests =="
+# A coverage-instrumented CLI runs the acceptance command (the chaos
+# scenario, then every figure, ablation and summary as views of one run
+# set; fixed seed, auditor on) and each README invocation. Merged with
+# the Example functions and the benchmark module's tests, the profile
+# must leave no function at 0 % that the script's allow-list does not
+# name, and every allow-listed function must still be at 0 %.
+./scripts/reach.sh
 
 echo "== fuzz smoke: scheduler auditor =="
 go test -fuzz=FuzzSchedulerAudit -fuzztime=5s -run '^$' ./internal/dask
