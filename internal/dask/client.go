@@ -27,7 +27,7 @@ type Client struct {
 	// dataBuf is scratch for Scatter's dataItem batch. The scheduler's
 	// updateData consumes it synchronously inside the roundTrip closure
 	// and copies out only field values, so the slice can be reused across
-	// calls. A Client is driven by a single actor goroutine.
+	// calls; it is cleared after each. A Client is driven by one goroutine.
 	dataBuf []dataItem
 }
 
@@ -203,12 +203,11 @@ func (cl *Client) Scatter(items []ScatterItem, external bool, workerID int) erro
 		// scheduler work on dense task IDs from here on.
 		id := cl.cluster.sched.intern(it.Key)
 		arrive := cl.cluster.xfer(cl.node, w.node, bytes, depart)
-		w.put(id, it.Value, bytes, arrive, external)
 		w.mScatter.Add(bytes)
 		if arrive > lastData {
 			lastData = arrive
 		}
-		dataItems[i] = dataItem{key: it.Key, id: id, bytes: bytes, worker: workerID, readyAt: arrive}
+		dataItems[i] = dataItem{key: it.Key, id: id, value: it.Value, bytes: bytes, worker: workerID, readyAt: arrive}
 	}
 	// One metadata message to the scheduler.
 	reqBytes := cl.cluster.cfg.ControlMsgBytes +
@@ -219,6 +218,7 @@ func (cl *Client) Scatter(items []ScatterItem, external bool, workerID int) erro
 		serr = e
 		return done
 	})
+	clear(dataItems)
 	cl.clock.Sync(lastData)
 	return serr
 }
@@ -262,7 +262,10 @@ func (cl *Client) Gather(futs []*Future) ([]any, error) {
 			return nil, err
 		}
 		w := cl.cluster.worker(wid)
-		e := w.fetch(id, depart)
+		e, ok := w.fetch(id, depart)
+		if !ok {
+			return nil, fmt.Errorf("dask: key %q was released during gather", f.Key)
+		}
 		out[i] = e.value
 		from := depart
 		if readyAt > from {

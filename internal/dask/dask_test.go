@@ -143,13 +143,37 @@ func TestScatterThenSubmit(t *testing.T) {
 	}
 }
 
+// TestScatterDuplicateKeyRejected checks that a rejected duplicate
+// scatter leaves the accepted value in place: the store's resident bytes
+// stay equal to the scheduler's record, and a dependent reads the first
+// value.
 func TestScatterDuplicateKeyRejected(t *testing.T) {
-	_, cl := testCluster(t, 1)
+	c, cl := testCluster(t, 1)
 	if err := cl.Scatter([]ScatterItem{{Key: "k", Value: 1.0}}, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Scatter([]ScatterItem{{Key: "k", Value: 2.0}}, false, 0); err == nil {
+	if err := cl.Scatter([]ScatterItem{{Key: "k", Value: make([]float64, 16)}}, false, 0); err == nil {
 		t.Fatal("duplicate scatter accepted")
+	}
+	_, _, bytes, _, err := c.sched.locate("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mem, sumRes, _, _, _, _, _, _ := c.workers[0].memAudit(); mem != bytes || sumRes != bytes {
+		t.Fatalf("worker holds %d B (ledger %d B), scheduler records %d B", sumRes, mem, bytes)
+	}
+	g := taskgraph.New()
+	g.AddFn("dep", []taskgraph.Key{"k"}, func(in []any) (any, error) { return in[0], nil }, 1e-3)
+	futs, err := cl.Submit(g, []taskgraph.Key{"dep"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := cl.Gather(futs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := vals[0].(float64); !ok || v != 1 {
+		t.Fatalf("dependent read %v, want the first value 1", vals[0])
 	}
 }
 
@@ -204,10 +228,15 @@ func TestExternalTasksAheadOfTime(t *testing.T) {
 	}
 }
 
+// TestExternalScatterUnknownKeyRejected also checks that the rejected
+// block is not left in the worker's store, where no key would own it.
 func TestExternalScatterUnknownKeyRejected(t *testing.T) {
-	_, cl := testCluster(t, 1)
-	if err := cl.Scatter([]ScatterItem{{Key: "ghost", Value: 1.0}}, true, 0); err == nil {
+	c, cl := testCluster(t, 1)
+	if err := cl.Scatter([]ScatterItem{{Key: "ghost", Value: make([]float64, 4)}}, true, 0); err == nil {
 		t.Fatal("external scatter to unknown key accepted")
+	}
+	if v := workerStore(c, 0); v.items != 0 || v.bytes != 0 {
+		t.Fatalf("rejected scatter left %d items (%d B) in the store", v.items, v.bytes)
 	}
 }
 

@@ -487,8 +487,9 @@ func TestMemoryGovernanceTwinProperty(t *testing.T) {
 			}
 			gwid, _, _, _, _ := gc.sched.locate(k)
 			uwid, _, _, _, _ := uc.sched.locate(k)
-			gb := gc.workers[gwid].get(gid).value.([]float64)
-			ub := uc.workers[uwid].get(uid).value.([]float64)
+			ge, _ := gc.workers[gwid].get(gid)
+			ue, _ := uc.workers[uwid].get(uid)
+			gb, ub := ge.value.([]float64), ue.value.([]float64)
 			if len(gb) != len(ub) {
 				t.Logf("final: block %s length %d vs %d", k, len(gb), len(ub))
 				return false

@@ -117,6 +117,108 @@ func TestReleaseRefusedWithDependents(t *testing.T) {
 	}
 }
 
+// gatedTask adds a task whose body signals started, then blocks until
+// the returned open func is called (also called at test cleanup).
+func gatedTask(t *testing.T, g *taskgraph.Graph, key taskgraph.Key, value any) (started chan struct{}, open func()) {
+	started, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	open = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	g.AddFn(key, nil, func([]any) (any, error) {
+		close(started)
+		<-gate
+		return value, nil
+	}, 1e-4)
+	return started, open
+}
+
+// TestReleasedResultNeverResident releases a task while its body runs.
+// The scheduler rejects the completion report, so the result must never
+// enter the worker's store: its memory gauge never reaches the result's
+// 8000 bytes.
+func TestReleasedResultNeverResident(t *testing.T) {
+	c, cl := testCluster(t, 1)
+	g := taskgraph.New()
+	started, open := gatedTask(t, g, "big", make([]float64, 1000))
+	futs, err := cl.Submit(g, []taskgraph.Key{"big"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := cl.Release(futs); err != nil {
+		t.Fatal(err)
+	}
+	open()
+	// The worker runs one task at a time, so once a later task finishes,
+	// the released task's report has been handled.
+	g2 := taskgraph.New()
+	constTask(g2, "after", 1)
+	after, err := cl.Submit(g2, []taskgraph.Key{"after"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Wait(after); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range c.workers[0].mMem.Series() {
+		if s.V >= 8000 {
+			t.Fatalf("memory gauge reached %v B at t=%v for a released result", s.V, s.T)
+		}
+	}
+	if v := workerStore(c, 0); v.items != 1 {
+		t.Fatalf("store holds %d items, want only the later task's", v.items)
+	}
+}
+
+// TestReleaseQueuedTaskThenDependency releases a task still queued on
+// its worker, then its dependency. When the worker reaches the stale
+// assignment its input is gone; it must drop the assignment rather than
+// fail, and go on serving later tasks.
+func TestReleaseQueuedTaskThenDependency(t *testing.T) {
+	c, cl := testCluster(t, 1)
+	g := taskgraph.New()
+	started, open := gatedTask(t, g, "c", 1.0)
+	if _, err := cl.Submit(g, []taskgraph.Key{"c"}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := cl.Scatter([]ScatterItem{{Key: "a", Value: 2.0}}, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	g2 := taskgraph.New()
+	sumTask(g2, "b", "a")
+	b, err := cl.Submit(g2, []taskgraph.Key{"b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := b[0].State(); st != StateProcessing {
+		t.Fatalf("b is %v, want queued on the worker (processing)", st)
+	}
+	if err := cl.Release(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Release([]*Future{{Key: "a", client: cl}}); err != nil {
+		t.Fatal(err)
+	}
+	open()
+	g3 := taskgraph.New()
+	constTask(g3, "after", 3)
+	after, err := cl.Submit(g3, []taskgraph.Key{"after"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := cl.Gather(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals[0].(float64) != 3 {
+		t.Fatalf("after = %v, want 3", vals[0])
+	}
+	if n := tasksExecuted(c, 0); n != 2 {
+		t.Fatalf("worker executed %d tasks, want 2 (c and after; b dropped)", n)
+	}
+}
+
 func TestReleaseUnknownKeyIgnored(t *testing.T) {
 	_, cl := testCluster(t, 1)
 	ghost := &Future{Key: "ghost", client: cl}

@@ -580,22 +580,23 @@ func (s *scheduler) createExternal(keys []taskgraph.Key, arrival vtime.Time) (vt
 	return handled, nil
 }
 
-// dataItem describes one scattered value already resident on a worker.
-// The key is interned by the client boundary before the data message
-// departs, so the scheduler works on IDs throughout.
+// dataItem describes one scattered value shipped to a worker. The key is
+// interned by the client boundary before the data message departs, so
+// the scheduler works on IDs throughout.
 type dataItem struct {
 	key     taskgraph.Key
 	id      taskID
+	value   any
 	bytes   int64
 	worker  int
-	readyAt vtime.Time // when the value landed in worker memory
+	readyAt vtime.Time // when the value reaches the worker
 }
 
 // updateData records scattered data. In external mode, each key must name
 // an existing task in the external state; the scheduler then follows the
 // same transition path as for a finished task (external → memory,
 // unblocking dependents). In the default mode (plain Dask scatter), a new
-// task is created directly in memory.
+// task is created directly in memory. Only an accepted item is stored.
 func (s *scheduler) updateData(items []dataItem, external bool, arrival vtime.Time) (vtime.Time, error) {
 	s.updateDataC.Inc()
 	handled := s.handle("update-data", arrival, s.cl.cfg.SchedulerTaskCost*vtime.Dur(len(items)))
@@ -637,6 +638,7 @@ func (s *scheduler) updateData(items []dataItem, external bool, arrival vtime.Ti
 			s.tasks[it.id] = st
 			s.noteTransLocked(stateNone, st.state)
 		}
+		s.cl.workers[it.worker].put(it.id, it.value, it.bytes, it.readyAt, external)
 		st.worker = it.worker
 		st.bytes = it.bytes
 		st.readyAt = it.readyAt
@@ -648,9 +650,9 @@ func (s *scheduler) updateData(items []dataItem, external bool, arrival vtime.Ti
 	return handled, nil
 }
 
-// taskFinished is the worker's completion report; it triggers the
-// transition cascade for dependents.
-func (s *scheduler) taskFinished(id taskID, workerID int, finishedAt vtime.Time, bytes int64, arrival vtime.Time) {
+// taskFinished is the worker's completion report; it stores the result
+// and triggers the transition cascade for dependents.
+func (s *scheduler) taskFinished(id taskID, workerID int, value any, finishedAt vtime.Time, bytes int64, arrival vtime.Time) {
 	s.taskFinishedC.Inc()
 	handled := s.handle("task-finished", arrival, s.cl.cfg.SchedulerTaskCost)
 	s.mu.Lock()
@@ -661,17 +663,10 @@ func (s *scheduler) taskFinished(id taskID, workerID int, finishedAt vtime.Time,
 	if st == nil || st.state != StateProcessing || st.worker != workerID || s.deadWorkers[workerID] {
 		// Late, duplicate, or dead-worker report; ignore. The worker
 		// check rejects completion reports racing a kill after the
-		// workerLost replan reassigned the task elsewhere. The worker
-		// stored its result before reporting, so a rejected report must
-		// also purge those bytes — the task was released or erred (a
-		// dependency died mid-run) and its value must not linger in the
-		// store. A duplicate report for a value legitimately resident
-		// here is the one stale case that keeps its bytes.
-		if !s.deadWorkers[workerID] && !(st != nil && st.state == StateMemory && st.worker == workerID) {
-			s.cl.workers[workerID].drop(id, finishedAt)
-		}
+		// workerLost replan reassigned the task elsewhere.
 		return
 	}
+	s.cl.workers[workerID].put(id, value, bytes, finishedAt, false)
 	st.worker = workerID
 	st.bytes = bytes
 	st.readyAt = finishedAt
@@ -972,6 +967,16 @@ func (s *scheduler) taskState(key taskgraph.Key) (State, bool) {
 	return st.state, true
 }
 
+// processingOn reports whether a task is still assigned to the worker
+// and unfinished: the test a worker makes before running an assignment
+// whose dependency is gone.
+func (s *scheduler) processingOn(id taskID, workerID int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.tasks[id]
+	return st != nil && st.state == StateProcessing && st.worker == workerID
+}
+
 // idFor returns the interned ID of a key, if the key has ever been seen.
 func (s *scheduler) idFor(key taskgraph.Key) (taskID, bool) {
 	s.mu.Lock()
@@ -1015,7 +1020,7 @@ func (s *scheduler) release(keys []taskgraph.Key, arrival vtime.Time) (vtime.Tim
 		if st == nil {
 			continue
 		}
-		if st.state == StateMemory && st.worker >= 0 {
+		if st.worker >= 0 {
 			s.cl.workers[st.worker].drop(st.id, handled)
 		}
 		if st.state == StateMemory {

@@ -327,9 +327,10 @@ func (w *worker) governLocked(at vtime.Time, keep taskID) vtime.Time {
 	return end
 }
 
-// put inserts a value into the worker's object store (used by both task
-// execution and client scatter). external pins the block against
-// spilling (published external blocks are placed under the contract).
+// put inserts a value into the worker's object store. Only the scheduler
+// calls it, under s.mu, once it accepts a completion report or scatter.
+// external pins the block against spilling (published external blocks
+// are placed under the contract).
 func (w *worker) put(id taskID, value any, bytes int64, readyAt vtime.Time, external bool) {
 	w.storeMu.Lock()
 	if old, ok := w.store[id]; ok {
@@ -355,21 +356,18 @@ func (w *worker) put(id taskID, value any, bytes int64, readyAt vtime.Time, exte
 }
 
 // get returns a stored value without touching governance state (no LRU
-// bump, no unspill charge). It panics if the ID is absent: the
-// scheduler only references data it has been told is resident, so absence
-// is a protocol bug, not a user error. Data-plane reads use fetch; get
-// remains for inspection paths that must not perturb eviction order.
-func (w *worker) get(id taskID) storeEntry {
+// bump, no unspill charge), and whether either tier holds it. The entry
+// may be absent when a release overtook the reader: callers decide
+// whether that is legal. Data-plane reads use fetch; get remains for
+// inspection paths that must not perturb eviction order.
+func (w *worker) get(id taskID) (storeEntry, bool) {
 	w.storeMu.RLock()
 	e, ok := w.store[id]
 	if !ok {
 		e, ok = w.spilled[id]
 	}
 	w.storeMu.RUnlock()
-	if !ok {
-		panic(fmt.Sprintf("dask: worker %d has no task id %d", w.id, id))
-	}
-	return e
+	return e, ok
 }
 
 // fetch returns a stored value for a data-plane read at the given
@@ -379,8 +377,8 @@ func (w *worker) get(id taskID) storeEntry {
 // ledger over the limit. The returned entry's readyAt includes the read
 // completion, so consumers naturally wait for the unspill in virtual
 // time. Ungoverned workers take a read-locked fast path identical to
-// the pre-governance store.
-func (w *worker) fetch(id taskID, at vtime.Time) storeEntry {
+// the pre-governance store. Like get, it reports whether the ID is held.
+func (w *worker) fetch(id taskID, at vtime.Time) (storeEntry, bool) {
 	if !w.governed() {
 		return w.get(id)
 	}
@@ -391,12 +389,12 @@ func (w *worker) fetch(id taskID, at vtime.Time) storeEntry {
 		e.lru = w.lruSeq
 		w.store[id] = e
 		w.storeMu.Unlock()
-		return e
+		return e, true
 	}
 	e, ok = w.spilled[id]
 	if !ok {
 		w.storeMu.Unlock()
-		panic(fmt.Sprintf("dask: worker %d has no task id %d", w.id, id))
+		return e, false
 	}
 	start := at
 	if e.readyAt > start {
@@ -419,7 +417,7 @@ func (w *worker) fetch(id taskID, at vtime.Time) storeEntry {
 	mem := w.memBytes
 	w.storeMu.Unlock()
 	w.mMem.Set(float64(mem), end)
-	return e
+	return e, true
 }
 
 // drop removes an entry from the object store (release path) at the
@@ -543,23 +541,32 @@ func (w *worker) memAudit() (mem, sumRes, spilledB, sumSp int64, overlap, extSpi
 	return w.memBytes, sumRes, w.spilledBytes, sumSp, overlap, extSpilled, evictable, w.lastLimit
 }
 
-// exec fetches dependencies, runs the task, stores the result, and
-// reports completion to the scheduler.
+// exec fetches dependencies, runs the task, and reports the result to
+// the scheduler, which stores it if it accepts the report.
 func (w *worker) exec(a assignment) {
 	vals := make([]any, len(a.deps))
 	depReady := a.arriveAt
 	for i, d := range a.deps {
-		if d.worker == w.id {
-			e := w.fetch(d.id, a.arriveAt)
-			vals[i] = e.value
+		peer := w.cl.worker(d.worker)
+		e, ok := peer.fetch(d.id, a.arriveAt)
+		if !ok {
+			// The dependency left the store after the assignment was
+			// queued. A dependency is released only once no registered
+			// task needs it, so this is legal only if the scheduler has
+			// already taken the task off this worker; drop the stale
+			// assignment then, and fail loudly otherwise.
+			if w.cl.sched.processingOn(a.id, w.id) {
+				panic(fmt.Sprintf("dask: worker %d has no task id %d for %q", peer.id, d.id, a.key))
+			}
+			return
+		}
+		vals[i] = e.value
+		if peer == w {
 			if e.readyAt > depReady {
 				depReady = e.readyAt
 			}
 			continue
 		}
-		peer := w.cl.worker(d.worker)
-		e := peer.fetch(d.id, a.arriveAt)
-		vals[i] = e.value
 		depart := a.arriveAt
 		if e.readyAt > depart {
 			depart = e.readyAt
@@ -611,9 +618,8 @@ func (w *worker) exec(a assignment) {
 	if a.outBytes > 0 {
 		bytes = a.outBytes
 	}
-	w.put(a.id, value, bytes, end, false)
 	w.mExecuted.Inc()
-	w.cl.sched.taskFinished(a.id, w.id, end, bytes, report)
+	w.cl.sched.taskFinished(a.id, w.id, value, end, bytes, report)
 }
 
 // invoke runs the task body, converting panics into task errors, as

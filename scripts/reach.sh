@@ -28,18 +28,21 @@ cd "$(dirname "$0")/.."
 # function is the name `go tool cover -func` prints: a method's name
 # without its receiver, so one entry covers same-named methods of one
 # file. The reason is one of:
-#   fault   fault path that the store-before-report fix (ROADMAP item 1)
-#           or the bench-gated fault workloads (item 9) will reach
+#   fault   release or fault path that only the dask unit tests and
+#           fuzzers take; the bench-gated fault workloads (ROADMAP item 9)
+#           will reach it
 #   input   parses input from outside the program
 #   iface   method an interface with reached methods requires
 #   seam    test seam
 #   oracle  test oracle used across packages
 allow=$(cat <<'EOF'
-# The release/erred/drop paths item 1 rewrites.
+# The release, erred and drop paths, and the stale-assignment check a
+# release of a queued task's dependency makes: no run releases keys.
 deisago/internal/dask/audit.go recordReleaseLocked fault
 deisago/internal/dask/client.go Release fault
 deisago/internal/dask/scheduler.go erredLocked fault
 deisago/internal/dask/scheduler.go noteReleaseLocked fault
+deisago/internal/dask/scheduler.go processingOn fault
 deisago/internal/dask/scheduler.go release fault
 deisago/internal/dask/scheduler.go taskErred fault
 deisago/internal/dask/worker.go drop fault
