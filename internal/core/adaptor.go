@@ -5,8 +5,8 @@ import (
 	"math"
 	"sort"
 
-	"deisago/internal/array"
 	"deisago/internal/dask"
+	"deisago/internal/ndarray"
 	"deisago/internal/netsim"
 	"deisago/internal/taskgraph"
 )
@@ -54,7 +54,7 @@ func (d *Deisa) GetDeisaArrays() (*ArraySet, error) {
 		if err := va.Validate(); err != nil {
 			return nil, err
 		}
-		set.byName[va.Name] = &DeisaArray{VA: va, chunked: va.Chunked()}
+		set.byName[va.Name] = &DeisaArray{VA: va}
 		set.names = append(set.names, va.Name)
 	}
 	sort.Strings(set.names)
@@ -82,29 +82,70 @@ func (s *ArraySet) Get(name string) (*DeisaArray, error) {
 	return da, nil
 }
 
-// DeisaArray is one published virtual array with its pending selection.
+// DeisaArray is one published virtual array with its pending selection:
+// the half-open box [lo[d], hi[d]) of block positions in each dimension.
 type DeisaArray struct {
-	VA        *VirtualArray
-	chunked   *array.Chunked
-	selection *array.Selection
+	VA     *VirtualArray
+	lo, hi []int // nil before Select*, or after a rejected Select
+	err    error // why the last Select was rejected
 }
 
-// SelectAll selects the whole array (the `[...]` of Listing 2) and
-// returns the chunked view for graph building.
-func (da *DeisaArray) SelectAll() *array.Chunked {
-	da.selection = da.chunked.SelectAll()
-	return da.chunked
+// SelectAll selects the whole array (the `[...]` of Listing 2).
+func (da *DeisaArray) SelectAll() {
+	da.lo, da.hi, da.err = make([]int, len(da.VA.Size)), da.VA.Grid(), nil
 }
 
-// Select selects element ranges (the `[]` operator); blocks intersecting
-// the ranges will be shipped. It returns the chunked view.
-func (da *DeisaArray) Select(ranges ...array.Range) *array.Chunked {
-	da.selection = da.chunked.Select(ranges...)
-	return da.chunked
+// Select selects element ranges, one per dimension (the `[]` operator);
+// every block intersecting all of them will be shipped. An invalid
+// selection is kept as an error that ValidateContract returns; a later
+// valid Select replaces it.
+func (da *DeisaArray) Select(ranges ...ndarray.Range) {
+	va := da.VA
+	da.lo, da.hi, da.err = nil, nil, nil
+	if len(ranges) != len(va.Size) {
+		da.err = fmt.Errorf("core: %s: %d ranges for rank-%d array", va.Name, len(ranges), len(va.Size))
+		return
+	}
+	lo, hi := make([]int, len(ranges)), make([]int, len(ranges))
+	for d, r := range ranges {
+		if r.Start < 0 || r.Stop > va.Size[d] || r.Start >= r.Stop {
+			da.err = fmt.Errorf("core: %s: range [%d,%d) invalid for dim %d of extent %d", va.Name, r.Start, r.Stop, d, va.Size[d])
+			return
+		}
+		lo[d] = r.Start / va.Subsize[d]
+		hi[d] = (r.Stop + va.Subsize[d] - 1) / va.Subsize[d]
+	}
+	da.lo, da.hi = lo, hi
 }
 
-// Selection returns the current selection (nil before Select*).
-func (da *DeisaArray) Selection() *array.Selection { return da.selection }
+// Keys returns the keys of the selected blocks in row-major order (nil
+// without a valid selection).
+func (da *DeisaArray) Keys() []taskgraph.Key {
+	var keys []taskgraph.Key
+	if da.lo != nil {
+		eachPos(da.lo, da.hi, func(pos []int) { keys = append(keys, da.VA.BlockKey(pos)) })
+	}
+	return keys
+}
+
+// eachPos visits every position of the box [lo, hi) in row-major order.
+// f must not retain pos, which is reused.
+func eachPos(lo, hi []int, f func(pos []int)) {
+	pos := append([]int(nil), lo...)
+	for {
+		f(pos)
+		d := len(pos) - 1
+		for ; d >= 0; d-- {
+			if pos[d]++; pos[d] < hi[d] {
+				break
+			}
+			pos[d] = lo[d]
+		}
+		if d < 0 {
+			return
+		}
+	}
+}
 
 // ValidateContract signs the contract (§2.4.3): it verifies every
 // selection refers to data made available by the simulation, creates the
@@ -120,45 +161,21 @@ func (s *ArraySet) ValidateContract() (*Contract, error) {
 	var allKeys []taskgraph.Key
 	for _, name := range s.names {
 		da := s.byName[name]
-		if da.selection == nil {
+		if da.err != nil {
+			return nil, da.err
+		}
+		if da.lo == nil {
 			continue
 		}
-		grid := da.VA.Grid()
-		tdim := da.VA.TimeDim
-		// Compress: a spatial block selected at every timestep becomes a
-		// single wildcard entry.
-		bySpatial := map[string][]int{}
-		spatialPos := map[string][]int{}
-		for _, pos := range da.selection.Chunks {
-			spatial := append([]int(nil), pos...)
-			spatial[tdim] = -1
-			k := posKey(spatial)
-			bySpatial[k] = append(bySpatial[k], pos[tdim])
-			spatialPos[k] = spatial
+		// A box over every timestep is one time-wildcard entry per
+		// spatial block.
+		lo, hi := da.lo, da.hi
+		if tdim := da.VA.TimeDim; lo[tdim] == 0 && hi[tdim] == da.VA.gridCached()[tdim] {
+			lo, hi = append([]int(nil), lo...), append([]int(nil), hi...)
+			lo[tdim], hi[tdim] = -1, 0
 		}
-		spatialKeys := make([]string, 0, len(bySpatial))
-		for k := range bySpatial {
-			spatialKeys = append(spatialKeys, k)
-		}
-		sort.Strings(spatialKeys)
-		var positions [][]int
-		for _, k := range spatialKeys {
-			steps := bySpatial[k]
-			if len(steps) == grid[tdim] {
-				positions = append(positions, spatialPos[k])
-				continue
-			}
-			for _, t := range steps {
-				pos := append([]int(nil), spatialPos[k]...)
-				pos[tdim] = t
-				positions = append(positions, pos)
-			}
-		}
-		contract.Add(name, positions)
-		// External tasks for every selected block (wildcards expanded).
-		for _, pos := range da.selection.Chunks {
-			allKeys = append(allKeys, da.VA.BlockKey(pos))
-		}
+		eachPos(lo, hi, func(pos []int) { contract.Add(name, [][]int{pos}) })
+		allKeys = append(allKeys, da.Keys()...)
 	}
 	if len(allKeys) == 0 {
 		return nil, fmt.Errorf("core: contract selects no data")

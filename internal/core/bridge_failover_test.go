@@ -60,7 +60,7 @@ func TestFailoverSkipsPausedWorker(t *testing.T) {
 			return
 		}
 		g := taskgraph.New()
-		g.AddFn("s", da.Selection().Keys(), func(in []any) (any, error) {
+		g.AddFn("s", da.Keys(), func(in []any) (any, error) {
 			return in[0].(*ndarray.Array).Sum(), nil
 		}, 1e-4)
 		futs, err := d.Client().Submit(g, []taskgraph.Key{"s"})
@@ -161,7 +161,7 @@ func TestRepublishLostToPausedReplacement(t *testing.T) {
 			return
 		}
 		g := taskgraph.New()
-		g.AddFn("s", da.Selection().Keys(), func(in []any) (any, error) {
+		g.AddFn("s", da.Keys(), func(in []any) (any, error) {
 			return in[0].(*ndarray.Array).Sum(), nil
 		}, 1e-4)
 		futs, err := d.Client().Submit(g, []taskgraph.Key{"s"})

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Contract is the signed data-filtering agreement of §2.4.3: for each
 // virtual array, the set of block positions the analytics selected. It
 // is computed once by the adaptor from the client's [] selections and
@@ -20,14 +15,6 @@ type Contract struct {
 // NewContract returns an empty contract.
 func NewContract() *Contract {
 	return &Contract{Selections: map[string][][]int{}}
-}
-
-func posKey(pos []int) string {
-	parts := make([]string, len(pos))
-	for i, p := range pos {
-		parts[i] = fmt.Sprintf("%d", p)
-	}
-	return strings.Join(parts, ".")
 }
 
 // Add records selected block positions for an array.

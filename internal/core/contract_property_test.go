@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"deisago/internal/array"
 	"deisago/internal/dask"
 	"deisago/internal/ndarray"
 	"deisago/internal/netsim"
@@ -68,16 +67,16 @@ func TestContractExactnessQuick(t *testing.T) {
 			}
 			da, _ := set.Get("G_q")
 			da.Select(
-				array.Range{Start: t0, Stop: t1},
-				array.Range{Start: 0, Stop: 2},
-				array.Range{Start: 2 * r0, Stop: 2 * r1},
+				ndarray.Range{Start: t0, Stop: t1},
+				ndarray.Range{Start: 0, Stop: 2},
+				ndarray.Range{Start: 2 * r0, Stop: 2 * r1},
 			)
 			if _, err := set.ValidateContract(); err != nil {
 				fail = true
 				return
 			}
 			g := taskgraph.New()
-			g.AddFn("sum", da.Selection().Keys(), func(in []any) (any, error) {
+			g.AddFn("sum", da.Keys(), func(in []any) (any, error) {
 				s := 0.0
 				for _, v := range in {
 					s += v.(*ndarray.Array).Sum()

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"deisago/internal/array"
 	"deisago/internal/dask"
 	"deisago/internal/ndarray"
 	"deisago/internal/netsim"
@@ -170,7 +169,7 @@ func TestContractWantsBlock(t *testing.T) {
 // runWorkflow executes the full handshake: one adaptor, R bridges, T
 // timesteps, with the analytics summing all selected data. Returns the
 // computed sum and the cluster for counter inspection.
-func runWorkflow(t *testing.T, mode Mode, selectRanges []array.Range) (float64, *dask.Cluster, []*Bridge) {
+func runWorkflow(t *testing.T, mode Mode, selectRanges []ndarray.Range) (float64, *dask.Cluster, []*Bridge) {
 	t.Helper()
 	const ranks = 2
 	cluster := testCluster(t, 2)
@@ -249,11 +248,10 @@ func runWorkflow(t *testing.T, mode Mode, selectRanges []array.Range) (float64, 
 			errs <- err
 			return
 		}
-		var gt *array.Chunked
 		if selectRanges == nil {
-			gt = da.SelectAll()
+			da.SelectAll()
 		} else {
-			gt = da.Select(selectRanges...)
+			da.Select(selectRanges...)
 		}
 		if _, err := set.ValidateContract(); err != nil {
 			errs <- err
@@ -261,8 +259,7 @@ func runWorkflow(t *testing.T, mode Mode, selectRanges []array.Range) (float64, 
 		}
 		// Sum only over the selected chunks (submitted ahead of data).
 		g := taskgraph.New()
-		sel := da.Selection()
-		keys := sel.Keys()
+		keys := da.Keys()
 		g.AddFn("sum-all", keys, func(in []any) (any, error) {
 			s := 0.0
 			for _, v := range in {
@@ -270,7 +267,6 @@ func runWorkflow(t *testing.T, mode Mode, selectRanges []array.Range) (float64, 
 			}
 			return s, nil
 		}, 1e-4)
-		_ = gt
 		futs, err := d.Client().Submit(g, []taskgraph.Key{"sum-all"})
 		if err != nil {
 			errs <- err
@@ -341,7 +337,7 @@ func TestEndToEndExternalWorkflow(t *testing.T) {
 
 func TestEndToEndContractFiltering(t *testing.T) {
 	// Select only x in [0,2) — rank 0's block — across all time and y.
-	sum, _, bridges := runWorkflow(t, ModeExternal, []array.Range{
+	sum, _, bridges := runWorkflow(t, ModeExternal, []ndarray.Range{
 		{Start: 0, Stop: 2}, {Start: 0, Stop: 2}, {Start: 0, Stop: 2},
 	})
 	// Only rank 0 blocks: 4*(0) + 4*(1) = 4.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"deisago/internal/array"
 	"deisago/internal/core"
 	"deisago/internal/dask"
 	"deisago/internal/ml"
@@ -120,7 +119,7 @@ func Example_quickstart() {
 			da, _ := set.Get("field")
 			da.SelectAll() // gt = arrays["field"][...]
 			g := taskgraph.New()
-			g.AddFn("stats", da.Selection().Keys(), func(in []any) (any, error) {
+			g.AddFn("stats", da.Keys(), func(in []any) (any, error) {
 				var sum, sum2, n float64
 				for _, v := range in {
 					for _, x := range v.(*ndarray.Array).Copy().Data() {
@@ -166,7 +165,7 @@ func Example_contracts() {
 				da, _ := set.Get("field")
 				sel(da)
 				g := taskgraph.New()
-				g.AddFn("sum", da.Selection().Keys(), func(in []any) (any, error) {
+				g.AddFn("sum", da.Keys(), func(in []any) (any, error) {
 					s := 0.0
 					for _, v := range in {
 						s += v.(*ndarray.Array).Sum()
@@ -191,8 +190,8 @@ func Example_contracts() {
 	fmt.Printf("select [...] (everything): blocks sent=%d skipped=%d, sum=%g\n", fullSent, fullSkipped, fullSum)
 	halfSent, halfSkipped, halfSum, halfBytes := runOnce(func(da *core.DeisaArray) {
 		// Only the lower half of the Y domain, all timesteps.
-		da.Select(array.Range{Start: 0, Stop: steps}, array.Range{Start: 0, Stop: bx},
-			array.Range{Start: 0, Stop: by * ranks / 2})
+		da.Select(ndarray.Range{Start: 0, Stop: steps}, ndarray.Range{Start: 0, Stop: bx},
+			ndarray.Range{Start: 0, Stop: by * ranks / 2})
 	})
 	fmt.Printf("select lower half of Y:    blocks sent=%d skipped=%d, sum=%g\n", halfSent, halfSkipped, halfSum)
 	fmt.Println("filtering moved fewer fabric bytes:", halfBytes < fullBytes)
@@ -217,9 +216,9 @@ func Example_multifield() {
 		vel, _ := set.Get("velocity")
 		temp.SelectAll()
 		vel.Select( // only the last timestep of the velocity field
-			array.Range{Start: steps - 1, Stop: steps},
-			array.Range{Start: 0, Stop: bx},
-			array.Range{Start: 0, Stop: by * ranks},
+			ndarray.Range{Start: steps - 1, Stop: steps},
+			ndarray.Range{Start: 0, Stop: bx},
+			ndarray.Range{Start: 0, Stop: by * ranks},
 		)
 		// stepKeys returns the blocks of one timestep of one field.
 		stepKeys := func(da *core.DeisaArray, t int) []taskgraph.Key {

@@ -42,7 +42,7 @@ func TestCorruptBlockFailsGracefully(t *testing.T) {
 		g := taskgraph.New()
 		// This task requires a 3-d block and slices beyond the corrupt
 		// block's extent, erring at execution time.
-		g.AddFn("use", da.Selection().Keys(), func(in []any) (any, error) {
+		g.AddFn("use", da.Keys(), func(in []any) (any, error) {
 			arr := in[0].(*ndarray.Array)
 			return arr.At(0, 1, 1), nil // panics → recovered? no: error path below
 		}, 1e-4)
@@ -109,7 +109,7 @@ func TestWorkerFailureRepublish(t *testing.T) {
 			return
 		}
 		g := taskgraph.New()
-		g.AddFn("s", da.Selection().Keys(), func(in []any) (any, error) {
+		g.AddFn("s", da.Keys(), func(in []any) (any, error) {
 			return in[0].(*ndarray.Array).Sum(), nil
 		}, 1e-4)
 		futs, err := d.Client().Submit(g, []taskgraph.Key{"s"})

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"deisago/internal/array"
 	"deisago/internal/ndarray"
 	"deisago/internal/netsim"
 	"deisago/internal/taskgraph"
@@ -56,8 +55,8 @@ func TestMultiArrayWorkflow(t *testing.T) {
 		daP, _ := set.Get("G_pres")
 		daT.SelectAll()
 		// Pressure: only the first timestep.
-		daP.Select(array.Range{Start: 0, Stop: 1},
-			array.Range{Start: 0, Stop: 4}, array.Range{Start: 0, Stop: 2})
+		daP.Select(ndarray.Range{Start: 0, Stop: 1},
+			ndarray.Range{Start: 0, Stop: 4}, ndarray.Range{Start: 0, Stop: 2})
 		if _, err := set.ValidateContract(); err != nil {
 			errs <- err
 			return
@@ -72,8 +71,8 @@ func TestMultiArrayWorkflow(t *testing.T) {
 				return s, nil
 			}, 1e-4)
 		}
-		sum("t-sum", daT.Selection().Keys())
-		sum("p-sum", daP.Selection().Keys())
+		sum("t-sum", daT.Keys())
+		sum("p-sum", daP.Keys())
 		futs, err := d.Client().Submit(g, []taskgraph.Key{"t-sum", "p-sum"})
 		if err != nil {
 			errs <- err
@@ -169,8 +168,8 @@ func TestTimeWindowContract(t *testing.T) {
 		}
 		da, _ := set.Get("G_f")
 		// Steps 1 and 2 only.
-		da.Select(array.Range{Start: 1, Stop: 3},
-			array.Range{Start: 0, Stop: 2}, array.Range{Start: 0, Stop: 2})
+		da.Select(ndarray.Range{Start: 1, Stop: 3},
+			ndarray.Range{Start: 0, Stop: 2}, ndarray.Range{Start: 0, Stop: 2})
 		contract, err := set.ValidateContract()
 		if err != nil {
 			errs <- err
@@ -181,7 +180,7 @@ func TestTimeWindowContract(t *testing.T) {
 			return
 		}
 		g := taskgraph.New()
-		g.AddFn("s", da.Selection().Keys(), func(in []any) (any, error) {
+		g.AddFn("s", da.Keys(), func(in []any) (any, error) {
 			s := 0.0
 			for _, v := range in {
 				s += v.(*ndarray.Array).Sum()
@@ -257,8 +256,9 @@ func TestFiveDimensionalVirtualArray(t *testing.T) {
 	if err != nil || name != "f5d" || len(pos) != 5 || pos[0] != 3 || pos[1] != 1 {
 		t.Fatalf("parse = %q %v %v", name, pos, err)
 	}
-	ch := va.Chunked()
-	if n := len(ch.SelectAll().Chunks); n != 12 {
+	da := &DeisaArray{VA: va}
+	da.SelectAll()
+	if n := len(da.Keys()); n != 12 {
 		t.Fatalf("chunks = %d", n)
 	}
 	// Worker placement stable across time in 5-D too.

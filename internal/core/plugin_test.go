@@ -98,7 +98,7 @@ func TestPluginEndToEnd(t *testing.T) {
 			return
 		}
 		g := taskgraph.New()
-		g.AddFn("sum", da.Selection().Keys(), func(in []any) (any, error) {
+		g.AddFn("sum", da.Keys(), func(in []any) (any, error) {
 			s := 0.0
 			for _, v := range in {
 				s += v.(*ndarray.Array).Sum()

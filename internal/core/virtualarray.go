@@ -32,7 +32,6 @@ import (
 	"strings"
 	"sync"
 
-	"deisago/internal/array"
 	"deisago/internal/taskgraph"
 )
 
@@ -192,20 +191,6 @@ func (v *VirtualArray) PositionForStart(start []int) ([]int, error) {
 		}
 	}
 	return pos, nil
-}
-
-// Chunked builds the dask-array view of the virtual array: a chunked
-// distributed array whose chunk keys are the deisa block keys (all
-// external — produced by the simulation, not by graph tasks). This is
-// the dask.array the adaptor hands to analytics code (§2.4.2).
-func (v *VirtualArray) Chunked() *array.Chunked {
-	name := KeyPrefix + "-" + v.Name
-	if v.Namespace != "" {
-		name = v.Namespace + "/" + name
-	}
-	return array.FromKeys(name, v.Size, v.Subsize, func(idx []int) taskgraph.Key {
-		return v.BlockKey(idx)
-	})
 }
 
 // WorkerForBlock deterministically preselects the worker that receives a

@@ -5,8 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"deisago/internal/array"
-
 	"deisago/internal/chaos"
 	"deisago/internal/cluster"
 	"deisago/internal/core"
@@ -673,9 +671,9 @@ func runNewIPCAInTransit(e *env, dc *dask.Cluster, steps int) (analyticsResult, 
 	}
 	if steps < cfg.Timesteps || blocks < cfg.Ranks {
 		da.Select(
-			array.Range{Start: 0, Stop: steps},
-			array.Range{Start: 0, Stop: cfg.RealLocalX},
-			array.Range{Start: 0, Stop: blocks * cfg.RealLocalY},
+			ndarray.Range{Start: 0, Stop: steps},
+			ndarray.Range{Start: 0, Stop: cfg.RealLocalX},
+			ndarray.Range{Start: 0, Stop: blocks * cfg.RealLocalY},
 		)
 	} else {
 		da.SelectAll()
