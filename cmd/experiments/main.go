@@ -387,7 +387,7 @@ func runMultiJob(stdout io.Writer, opts harness.Options, n int, weightsCSV strin
 			j.Name, j.Weight, specs[i].Ranks, specs[i].Timesteps,
 			j.BlocksSent, j.BlocksSkipped, killed, j.AnalyticsTime,
 			100*res.Metrics.Gauge(metrics.ID("scheduler", "tenant_share", metrics.L("tenant", j.Name))),
-			j.Fingerprint[:16])
+			j.Fingerprint()[:16])
 	}
 	fmt.Fprintf(stdout, "jain=%.4f admitted=%d max_queue=%d makespan=%.4fs\n",
 		res.Jain, res.Admission.Admitted, res.Admission.MaxQueue, res.Makespan)

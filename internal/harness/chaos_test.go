@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"deisago/internal/chaos"
 	"deisago/internal/core"
+	"deisago/internal/ndarray"
 )
 
 // chaosAcceptancePlan returns the seed-7 plan over the acceptance
@@ -170,6 +172,73 @@ func TestChaosRejectsDeisa1(t *testing.T) {
 	cfg.ChaosPlan = plan
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("chaos on DEISA1 accepted")
+	}
+}
+
+// TestRunRejectsPlansItCannotHonour: Run refuses a plan it would
+// otherwise ignore or fake. A post hoc run has no bridge for a fault to
+// hit, and the one job of a single-job run has no name for a killjob to
+// target; both used to return a clean result with a chaos log that
+// claimed nothing (post hoc) or a cancellation that never happened.
+func TestRunRejectsPlansItCannotHonour(t *testing.T) {
+	for _, c := range []struct {
+		sys       System
+		dsl, want string
+	}{
+		{PostHocOldIPCA, "kill:1@0/1", "external-mode system"},
+		{PostHocNewIPCA, "kill:1@0/1", "external-mode system"},
+		{DEISA3, "killjob:ghost@1", "unknown tenant"},
+	} {
+		plan, err := chaos.ParsePlan(c.dsl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{System: c.sys, Ranks: 2, Workers: 2, Timesteps: 3, BlockBytes: 1 << 20, Seed: 7, ChaosPlan: plan}
+		res, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			var log []chaos.LogEntry
+			if res != nil {
+				log = res.ChaosLog
+			}
+			t.Fatalf("%s under %s: err = %v, chaos log %v; want an error naming %q", c.sys, c.dsl, err, log, c.want)
+		}
+	}
+}
+
+// TestIdenticalAnalyticsCatchesDifferences: the chaos oracle compares
+// one WriteAnalytics stream. Each way two analytics can differ, including
+// those that leave the stream's words unchanged, must read as a
+// difference, and two copies of the same analytics must not.
+func TestIdenticalAnalyticsCatchesDifferences(t *testing.T) {
+	result := func(edit func(r *Result)) *Result {
+		r := &Result{
+			Components:        ndarray.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3),
+			SingularValues:    []float64{9, 8},
+			ExplainedVariance: []float64{0.7, 0.2},
+		}
+		edit(r)
+		return r
+	}
+	for name, edit := range map[string]func(r *Result){
+		"one flipped bit in a component": func(r *Result) {
+			d := r.Components.Data()
+			d[4] = math.Float64frombits(math.Float64bits(d[4]) ^ 1)
+		},
+		"transposed shape": func(r *Result) {
+			r.Components = ndarray.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2)
+		},
+		"same stream, split differently": func(r *Result) {
+			r.SingularValues, r.ExplainedVariance = []float64{9, 8, 0.7}, []float64{0.2}
+		},
+		"nil components": func(r *Result) { r.Components = nil },
+	} {
+		ref, other := result(func(*Result) {}), result(edit)
+		if identicalAnalytics(ref, other) || identicalAnalytics(other, ref) {
+			t.Errorf("%s: reported identical", name)
+		}
+		if !identicalAnalytics(other, result(edit)) {
+			t.Errorf("%s: a copy reported different", name)
+		}
 	}
 }
 

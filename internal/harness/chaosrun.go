@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"deisago/internal/chaos"
@@ -70,19 +72,40 @@ type ChaosReport struct {
 	Identical bool // analytics outputs bit-identical across the runs
 }
 
-// checkPlan rejects a plan (nil passes) that no run survives: a drop
-// clause losing as many publish attempts as the bridges' retry budget
-// allows makes the publish give up, and the ranks and the analytics
-// would then wait forever on the lost block.
-func checkPlan(plan *chaos.Plan) error {
+// checkPlan rejects a plan (nil passes) that no run of the named jobs
+// survives or honours, before anything is built. The one job of a
+// single-job run has no name, so jobs is empty there.
+//   - A drop clause losing as many publish attempts as the bridges' retry
+//     budget allows makes the publish give up, and the ranks and the
+//     analytics would then wait forever on the lost block.
+//   - A killjob must name a job of the run, at one of its steps.
+//   - Worker kills need a single-job run: on a shared platform their
+//     republish barrier would have to span jobs whose admission windows
+//     never overlap.
+func checkPlan(plan *chaos.Plan, jobs []JobSpec) error {
 	if plan == nil {
 		return nil
 	}
 	budget := core.DefaultRetryPolicy().MaxAttempts
 	for i, ev := range plan.Events {
-		if ev.Kind == chaos.KindDropPublish && ev.Count >= budget {
-			return fmt.Errorf("harness: chaos event %d (%s) drops %d publish attempts, but the retry budget is %d",
-				i, ev, ev.Count, budget)
+		switch ev.Kind {
+		case chaos.KindDropPublish:
+			if ev.Count >= budget {
+				return fmt.Errorf("harness: chaos event %d (%s) drops %d publish attempts, but the retry budget is %d",
+					i, ev, ev.Count, budget)
+			}
+		case chaos.KindKillWorker:
+			if len(jobs) > 0 {
+				return fmt.Errorf("harness: multi-job runs do not support worker kills (event %d)", i)
+			}
+		case chaos.KindKillJob:
+			j := slices.IndexFunc(jobs, func(j JobSpec) bool { return j.Name == ev.Tenant })
+			if j < 0 {
+				return fmt.Errorf("harness: killjob event %d targets unknown tenant %q", i, ev.Tenant)
+			}
+			if last := jobs[j].Timesteps - 1; ev.Step > last {
+				return fmt.Errorf("harness: killjob event %d at step %d is past job %q's last step %d", i, ev.Step, ev.Tenant, last)
+			}
 		}
 	}
 	return nil
@@ -126,43 +149,21 @@ func RunChaosParallel(cfg Config, plan *chaos.Plan, parallel int) (*ChaosReport,
 }
 
 // identicalAnalytics reports whether two runs produced bit-identical
-// analytics outputs (components, singular values, explained variance).
+// analytics: the same WriteAnalytics stream, cut in the same places. Equal
+// component ranks and streams give equal shapes, hence equal component
+// data; equal singular-value counts then split the rest the same way.
 func identicalAnalytics(a, b *Result) bool {
-	if (a.Components == nil) != (b.Components == nil) {
-		return false
-	}
-	if a.Components != nil {
-		as, bs := a.Components.Shape(), b.Components.Shape()
-		if len(as) != len(bs) {
-			return false
+	cuts := func(r *Result) [3]int {
+		rank := -1
+		if r.Components != nil {
+			rank = len(r.Components.Shape())
 		}
-		for i := range as {
-			if as[i] != bs[i] {
-				return false
-			}
-		}
-		ad, bd := a.Components.Data(), b.Components.Data()
-		for i := range ad {
-			if ad[i] != bd[i] {
-				return false
-			}
-		}
+		return [3]int{rank, len(r.SingularValues), len(r.ExplainedVariance)}
 	}
-	if len(a.SingularValues) != len(b.SingularValues) ||
-		len(a.ExplainedVariance) != len(b.ExplainedVariance) {
-		return false
-	}
-	for i := range a.SingularValues {
-		if a.SingularValues[i] != b.SingularValues[i] {
-			return false
-		}
-	}
-	for i := range a.ExplainedVariance {
-		if a.ExplainedVariance[i] != b.ExplainedVariance[i] {
-			return false
-		}
-	}
-	return true
+	var x, y bytes.Buffer
+	a.WriteAnalytics(&x)
+	b.WriteAnalytics(&y)
+	return cuts(a) == cuts(b) && bytes.Equal(x.Bytes(), y.Bytes())
 }
 
 // Format renders the report for the CLI.

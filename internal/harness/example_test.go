@@ -88,7 +88,7 @@ func Example_multitenant() {
 			if j.Killed {
 				killed = fmt.Sprintf("  [killed @%d: %d blocks filtered]", j.KilledStep, j.BlocksSkipped)
 			}
-			fmt.Printf("%-8s w=%g  sent=%2d  fp=%s%s\n", j.Name, j.Weight, j.BlocksSent, j.Fingerprint[:16], killed)
+			fmt.Printf("%-8s w=%g  sent=%2d  fp=%s%s\n", j.Name, j.Weight, j.BlocksSent, j.Fingerprint()[:16], killed)
 		}
 		return res
 	}
@@ -102,9 +102,9 @@ func Example_multitenant() {
 
 	same, survivors := true, true
 	for _, j := range interleaved.Jobs {
-		same = same && serial.Job(j.Name).Fingerprint == j.Fingerprint
+		same = same && serial.Job(j.Name).Fingerprint() == j.Fingerprint()
 		if j.Name != "fusion" { // the cancelled tenant legitimately differs
-			survivors = survivors && killed.Job(j.Name).Fingerprint == j.Fingerprint
+			survivors = survivors && killed.Job(j.Name).Fingerprint() == j.Fingerprint()
 		}
 	}
 	fmt.Println("serial == interleaved:", same)

@@ -1,37 +1,34 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 
 	"deisago/internal/chaos"
 	"deisago/internal/dask"
 	"deisago/internal/metrics"
 	"deisago/internal/multijob"
-	"deisago/internal/ndarray"
 	"deisago/internal/netsim"
 	"deisago/internal/vtime"
 )
 
-// This file is the multi-tenant driver: N concurrent Heat2D+IPCA
+// This file is the in-transit driver: N concurrent Heat2D+IPCA
 // pipelines ("jobs") share one deisa platform — one fabric, one Dask
-// cluster, one scheduler. Each job gets its own namespace (every task
-// key, scatter key, Variable and queue is prefixed "<name>/"), its own
-// fair-share weight on the scheduler's ready queue, and its start is
-// gated by a multijob.Plane admission ticket. Each job runs the same
-// in-transit driver as a single-job Run (env.runJob). The per-job pipelines
-// are dataflow independent, so each job's analytics outputs are
-// bit-identical whether the jobs run serially (MaxConcurrent=1) or
-// fully interleaved — the per-tenant fingerprint checks exactly that.
+// cluster, one scheduler. A single-job Run is one unnamed job. In a
+// multi-tenant run each job gets its own namespace (every task key,
+// scatter key, Variable and queue is prefixed "<name>/") and its own
+// fair-share weight on the scheduler's ready queue; every job's start is
+// gated by a multijob.Plane admission ticket. The per-job pipelines are
+// dataflow independent, so each job's analytics outputs are
+// bit-identical whether the jobs run serially (MaxConcurrent=1) or fully
+// interleaved — the per-tenant fingerprint checks exactly that.
 
 // JobSpec describes one tenant pipeline of a multi-job run.
 type JobSpec struct {
 	// Name is the tenant namespace: unique, and valid for
-	// dask.ValidateTenant (non-empty, no '/', not "default").
+	// dask.ValidateTenant (non-empty, no '/', not "default"). Only the
+	// one job of a single-job Run is unnamed.
 	Name string
 	// Weight is the fair-share weight (default 1).
 	Weight float64
@@ -83,6 +80,7 @@ type MultiJobConfig struct {
 }
 
 func (c *MultiJobConfig) defaults() {
+	c.Jobs = slices.Clone(c.Jobs) // fill the defaults in a copy, not the caller's specs
 	if c.RealLocalX == 0 {
 		c.RealLocalX = 16
 	}
@@ -116,69 +114,27 @@ func (c *MultiJobConfig) Validate() error {
 		return fmt.Errorf("harness: admission limits must not be negative (max concurrent %d, tenant budget %d, cluster budget %d)",
 			c.MaxConcurrent, c.TenantBudget, c.ClusterBudget)
 	}
-	steps := map[string]int{}
+	seen := map[string]bool{}
 	for _, j := range c.Jobs {
 		if err := dask.ValidateTenant(j.Name, j.Weight); err != nil {
 			return err
 		}
-		if _, dup := steps[j.Name]; dup {
+		if seen[j.Name] {
 			return fmt.Errorf("harness: duplicate job name %q", j.Name)
 		}
-		steps[j.Name] = j.Timesteps
+		seen[j.Name] = true
 		if j.Ranks <= 0 || j.Timesteps <= 0 || j.BlockBytes <= 0 {
 			return fmt.Errorf("harness: job %q needs positive ranks, timesteps and block size", j.Name)
 		}
 	}
-	if err := checkPlan(c.ChaosPlan); err != nil {
-		return err
-	}
-	if c.ChaosPlan != nil {
-		for i, ev := range c.ChaosPlan.Events {
-			if ev.Kind == chaos.KindKillWorker {
-				return fmt.Errorf("harness: multi-job runs do not support worker kills (event %d)", i)
-			}
-			if ev.Kind != chaos.KindKillJob {
-				continue
-			}
-			t, ok := steps[ev.Tenant]
-			if !ok {
-				return fmt.Errorf("harness: killjob event %d targets unknown tenant %q", i, ev.Tenant)
-			}
-			if ev.Step >= t {
-				return fmt.Errorf("harness: killjob event %d at step %d is past job %q's last step %d", i, ev.Step, ev.Tenant, t-1)
-			}
-		}
-	}
-	return nil
+	return checkPlan(c.ChaosPlan, c.Jobs)
 }
 
-// JobResult is one tenant's outcome.
-type JobResult struct {
-	Name   string
-	Weight float64
-	// Killed/KilledStep report a killjob cancellation: the analytics
-	// consumed only timesteps before KilledStep.
-	Killed     bool
-	KilledStep int
-
-	Components        *ndarray.Array
-	SingularValues    []float64
-	ExplainedVariance []float64
-
-	BlocksSent, BlocksSkipped int64
-	SimMakespan               float64
-	AnalyticsTime             float64
-
-	// Fingerprint digests the job's analytics values and bridge
-	// counters. It is a pure function of the job spec (and its kill
-	// step), independent of what other tenants share the platform or of
-	// the admission interleaving.
-	Fingerprint string
-}
-
-// MultiJobResult is the outcome of a multi-tenant run.
+// MultiJobResult is the outcome of a multi-tenant run (and, inside Run,
+// of a single-job in-transit run, whose one Result takes the run-wide
+// fields).
 type MultiJobResult struct {
-	Jobs []JobResult // in JobSpec order
+	Jobs []Result // in JobSpec order
 	// Jain is Jain's fairness index over weight-normalized service: the
 	// final value of the scheduler/fairness_jain gauge. Per-tenant
 	// service (scheduler/tenant_pops, scheduler/tenant_share) is in
@@ -196,7 +152,7 @@ type MultiJobResult struct {
 }
 
 // Job returns the named job's result, or nil.
-func (r *MultiJobResult) Job(name string) *JobResult {
+func (r *MultiJobResult) Job(name string) *Result {
 	for i := range r.Jobs {
 		if r.Jobs[i].Name == name {
 			return &r.Jobs[i]
@@ -205,104 +161,92 @@ func (r *MultiJobResult) Job(name string) *JobResult {
 	return nil
 }
 
-// fingerprint digests the fields that must be reproducible.
-func (j *JobResult) fingerprint() string {
-	h := sha256.New()
-	le := binary.LittleEndian
-	var buf [8]byte
-	writeF := func(v float64) {
-		le.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-	writeI := func(v int64) {
-		le.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	h.Write([]byte(j.Name))
-	if j.Killed {
-		writeI(int64(j.KilledStep))
-	} else {
-		writeI(-1)
-	}
-	if j.Components != nil {
-		for _, d := range j.Components.Shape() {
-			writeI(int64(d))
-		}
-		for _, v := range j.Components.Data() {
-			writeF(v)
-		}
-	}
-	for _, v := range j.SingularValues {
-		writeF(v)
-	}
-	for _, v := range j.ExplainedVariance {
-		writeF(v)
-	}
-	writeI(j.BlocksSent)
-	writeI(j.BlocksSkipped)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// RunMultiJob executes a mixed workload of concurrent pipelines on one
-// shared platform.
+// RunMultiJob executes a mixed workload of concurrent DEISA3 pipelines
+// on one shared platform.
 func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 	cfg.defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	totalRanks := 0
-	for _, j := range cfg.Jobs {
-		totalRanks += j.Ranks
+	base := Config{
+		System:            DEISA3,
+		Workers:           cfg.Workers,
+		Seed:              cfg.Seed,
+		RealLocalX:        cfg.RealLocalX,
+		RealLocalY:        cfg.RealLocalY,
+		Model:             cfg.Model,
+		WorkerMemoryLimit: cfg.WorkerMemoryLimit,
+		ChaosPlan:         cfg.ChaosPlan,
+		TieBreak:          cfg.TieBreak,
+		EnableAudit:       cfg.EnableAudit,
 	}
-	p := newPlatform(cfg.Model, cfg.Workers, totalRanks, cfg.Seed)
-	dc := p.newCluster(cfg.WorkerMemoryLimit, cfg.TieBreak)
+	lim := multijob.Limits{
+		MaxConcurrent: cfg.MaxConcurrent,
+		TenantBudget:  cfg.TenantBudget,
+		ClusterBudget: cfg.ClusterBudget,
+	}
+	return runJobs(base, lim, cfg.Jobs)
+}
+
+// runJobs is the one in-transit driver, behind Run and RunMultiJob. It
+// builds one platform for all jobs' ranks and one cluster on it, with
+// base's switches, and runs each job with base's configuration at the
+// job's size. A named job is a tenant, registered in spec order (so
+// tenant indices and series are deterministic); a job named "" stays on
+// the default tenant, so a single-job run keeps no tenant series. Each
+// job waits for its admission ticket under lim, then runs on its own
+// goroutine and slice of the rank nodes. A job the chaos plan kills has
+// its analytics consume only the timesteps before its kill step.
+func runJobs(base Config, lim multijob.Limits, jobs []JobSpec) (*MultiJobResult, error) {
+	ranks := 0
+	for _, j := range jobs {
+		ranks += j.Ranks
+	}
+	p := newPlatform(base.Model, base.Workers, ranks, base.Seed)
+	dc := p.newCluster(base)
 	defer dc.Close()
-	if cfg.EnableAudit || cfg.ChaosPlan != nil {
-		dc.EnableAudit()
-	}
-	// Registration order = spec order, so tenant indices, instrument
-	// creation, and the tenant series are deterministic.
-	for _, j := range cfg.Jobs {
+	for _, j := range jobs {
+		if j.Name == "" {
+			continue
+		}
 		if err := dc.RegisterTenant(j.Name, j.Weight); err != nil {
 			return nil, err
 		}
 	}
-
 	var ctrl *chaos.Controller
-	killAt := map[string]int{}
-	if cfg.ChaosPlan != nil {
+	var killAt map[string]int
+	if base.ChaosPlan != nil {
 		var err error
-		ctrl, err = chaos.NewController(cfg.ChaosPlan, dc)
-		if err != nil {
+		if ctrl, err = chaos.NewController(base.ChaosPlan, dc); err != nil {
 			return nil, err
 		}
 		ctrl.InstallLinkFaults(p.machine.Fabric())
 		killAt = ctrl.KillJobs()
 	}
 
-	plane := multijob.NewPlane(multijob.Limits{
-		MaxConcurrent: cfg.MaxConcurrent,
-		TenantBudget:  cfg.TenantBudget,
-		ClusterBudget: cfg.ClusterBudget,
-	})
-
-	results := make([]JobResult, len(cfg.Jobs))
-	errs := make(chan error, len(cfg.Jobs))
+	plane := multijob.NewPlane(lim)
+	out := &MultiJobResult{Jobs: make([]Result, len(jobs))}
+	errs := make(chan error, len(jobs))
 	var wg sync.WaitGroup
-	rankBase := 0
-	for i, job := range cfg.Jobs {
-		rankNodes := p.place.RankNodes[rankBase : rankBase+job.Ranks]
-		rankBase += job.Ranks
+	rankNodes := p.place.RankNodes
+	for i, job := range jobs {
+		cfg := base
+		cfg.Ranks, cfg.Timesteps, cfg.BlockBytes = job.Ranks, job.Timesteps, job.BlockBytes
+		nodes := rankNodes[:job.Ranks]
+		rankNodes = rankNodes[job.Ranks:]
 		wg.Add(1)
-		go func(i int, job JobSpec, rankNodes []netsim.NodeID) {
+		go func() {
 			defer wg.Done()
-			res, err := cfg.runTenant(plane, p, dc, ctrl, job, rankNodes, killAt)
+			res, err := p.runAdmitted(plane, dc, ctrl, cfg, job, nodes, killAt)
 			if err != nil {
-				errs <- fmt.Errorf("job %q: %w", job.Name, err)
+				if job.Name != "" {
+					err = fmt.Errorf("job %q: %w", job.Name, err)
+				}
+				errs <- err
 				return
 			}
-			results[i] = *res
-		}(i, job, rankNodes)
+			out.Jobs[i] = *res
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -310,21 +254,18 @@ func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 		return nil, err
 	}
 
-	out := &MultiJobResult{
-		Jobs:      results,
-		Admission: plane.Stats(),
-	}
+	out.Admission = plane.Stats()
 	if ctrl != nil {
 		out.ChaosLog = ctrl.Log()
 	}
 	if dc.AuditEnabled() {
-		out.AuditLog = dc.AuditLog()
-		out.AuditTruncated = dc.AuditTruncated()
+		out.AuditLog, out.AuditTruncated = dc.AuditLog(), dc.AuditTruncated()
 	}
+	trace := dc.TraceEvents() // nil unless base.EnableTrace, which only Run sets
 	for i := range out.Jobs {
-		if end := vtime.MaxTime(out.Jobs[i].SimMakespan, out.Jobs[i].AnalyticsTime); end > out.Makespan {
-			out.Makespan = end
-		}
+		j := &out.Jobs[i]
+		j.Trace = trace
+		out.Makespan = vtime.MaxTime(out.Makespan, j.SimMakespan, j.AnalyticsTime)
 	}
 	dc.RecordUtilization(out.Makespan)
 	p.machine.Fabric().RecordUtilization(out.Makespan)
@@ -333,28 +274,17 @@ func RunMultiJob(cfg MultiJobConfig) (*MultiJobResult, error) {
 	return out, nil
 }
 
-// runTenant admits one job and runs it as a DEISA3 pipeline in its
-// namespace, on its slice of the platform's rank nodes. A job in killAt
-// has its analytics consume only the timesteps before its kill step.
-func (c *MultiJobConfig) runTenant(plane *multijob.Plane, p *platform, dc *dask.Cluster, ctrl *chaos.Controller,
-	job JobSpec, rankNodes []netsim.NodeID, killAt map[string]int) (*JobResult, error) {
+// runAdmitted waits for job's admission ticket, then runs it with cfg in
+// its namespace on rankNodes. A job in killAt has its analytics consume
+// only the timesteps before its kill step.
+func (p *platform) runAdmitted(plane *multijob.Plane, dc *dask.Cluster, ctrl *chaos.Controller,
+	cfg Config, job JobSpec, rankNodes []netsim.NodeID, killAt map[string]int) (*Result, error) {
 	release, err := plane.Admit(job.Name, job.estimate())
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	e, err := newEnv(p, Config{
-		System:     DEISA3,
-		Ranks:      job.Ranks,
-		Workers:    c.Workers,
-		Timesteps:  job.Timesteps,
-		BlockBytes: job.BlockBytes,
-		Seed:       c.Seed,
-		RealLocalX: c.RealLocalX,
-		RealLocalY: c.RealLocalY,
-		Model:      c.Model,
-		TieBreak:   c.TieBreak,
-	}, job.Name, rankNodes)
+	e, err := newEnv(p, cfg, job.Name, rankNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -363,26 +293,10 @@ func (c *MultiJobConfig) runTenant(plane *multijob.Plane, p *platform, dc *dask.
 	if killed {
 		steps = killStep
 	}
-	j, err := e.runJob(dc, ctrl, steps)
+	res, err := e.runJob(dc, ctrl, steps)
 	if err != nil {
 		return nil, err
 	}
-	res := &JobResult{
-		Name:              job.Name,
-		Weight:            job.Weight,
-		Killed:            killed,
-		KilledStep:        killStep,
-		Components:        j.analytics.components,
-		SingularValues:    j.analytics.singularValues,
-		ExplainedVariance: j.analytics.explainedVariance,
-		SimMakespan:       vtime.MaxTime(j.simEnds...),
-		AnalyticsTime:     j.analytics.duration,
-	}
-	for _, b := range j.bridges {
-		sent, skipped := b.Stats()
-		res.BlocksSent += sent
-		res.BlocksSkipped += skipped
-	}
-	res.Fingerprint = res.fingerprint()
+	res.Weight, res.Killed, res.KilledStep = job.Weight, killed, killStep
 	return res, nil
 }

@@ -44,7 +44,7 @@ func TestMultiJobSmoke(t *testing.T) {
 		t.Fatalf("got %d job results", len(res.Jobs))
 	}
 	for _, j := range res.Jobs {
-		if j.Fingerprint == "" || j.Components == nil || len(j.SingularValues) == 0 {
+		if j.Fingerprint() == "" || j.Components == nil || len(j.SingularValues) == 0 {
 			t.Fatalf("job %q incomplete: %+v", j.Name, j)
 		}
 		if want := int64(2 * 3); j.BlocksSent != want {
@@ -84,7 +84,7 @@ func TestMultiJobDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, j := range res.Jobs {
-			fps[j.Name] = append(fps[j.Name], j.Fingerprint)
+			fps[j.Name] = append(fps[j.Name], j.Fingerprint())
 		}
 	}
 	for name, f := range fps {
@@ -112,7 +112,7 @@ func TestMultiJobKilljobSurvivorsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"ajob", "cjob"} {
-		if a, b := clean.Job(name).Fingerprint, chaotic.Job(name).Fingerprint; a != b {
+		if a, b := clean.Job(name).Fingerprint(), chaotic.Job(name).Fingerprint(); a != b {
 			t.Fatalf("survivor %q fingerprint changed under killjob: %s vs %s", name, a, b)
 		}
 	}

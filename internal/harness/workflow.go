@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
@@ -12,6 +16,7 @@ import (
 	"deisago/internal/h5"
 	"deisago/internal/metrics"
 	"deisago/internal/mpi"
+	"deisago/internal/multijob"
 	"deisago/internal/ndarray"
 	"deisago/internal/netsim"
 	"deisago/internal/pfs"
@@ -65,7 +70,9 @@ type Config struct {
 	// plan's link faults are installed on the fabric, a chaos controller
 	// intercepts every bridge publish, and blocks lost to worker kills
 	// are republished once the simulation loop finishes. External-mode
-	// (DEISA2/3) in-transit systems only.
+	// (DEISA2/3) in-transit systems only: Run rejects a plan on any
+	// other system, and a killjob clause, which its one unnamed job
+	// cannot honour.
 	ChaosPlan *chaos.Plan
 	// TieBreak, when non-nil, redirects every benign scheduling tie in
 	// the cluster and the bridges — ready-pop order, worker choice,
@@ -94,9 +101,18 @@ func (c *Config) defaults() {
 	}
 }
 
-// Result holds every measurement of one run.
+// Result holds every measurement of one run, or of one job of a
+// multi-job run (MultiJobResult.Jobs).
 type Result struct {
 	Config Config
+	// Name is the job's tenant namespace ("" for the one job of Run, on
+	// the scheduler's default tenant) and Weight its fair-share weight.
+	Name   string
+	Weight float64
+	// Killed/KilledStep report a killjob cancellation: the analytics
+	// consumed only timesteps before KilledStep.
+	Killed     bool
+	KilledStep int
 
 	// SimStepMean is the per-iteration simulation (compute + halo) time,
 	// averaged over ranks and iterations.
@@ -119,7 +135,9 @@ type Result struct {
 	// dask/* message totals behind §2.1's count argument. The counter
 	// subset is deterministic for a fixed Config (see metrics package
 	// doc); gauge/histogram values carry virtual timestamps and may
-	// vary across runs of the same seed.
+	// vary across runs of the same seed. A job of a multi-job run leaves
+	// Metrics, ChaosLog and the audit log to its MultiJobResult, which
+	// holds them for the whole shared platform.
 	Metrics *metrics.Snapshot
 	// Trace holds task-execution spans when Config.EnableTrace is set.
 	Trace []dask.TraceEvent
@@ -181,13 +199,59 @@ func (r *Result) AnalyticsCostCoreHours() float64 {
 	return r.AnalyticsTime * float64(r.AnalyticsNodes*r.Config.Model.CoresPerNode) / 3600
 }
 
-// Run executes one configuration end to end.
+// WriteAnalytics writes the run's analytics bits to w: the shape and the
+// values of the components, then the singular values and the explained
+// variance, each as a little-endian 64-bit word. Every check of "the same
+// analytics" reads this one stream: Fingerprint, ChaosReport.Identical
+// and the schedule explorer's digest. w is a hash or a buffer, whose
+// writes do not fail.
+func (r *Result) WriteAnalytics(w io.Writer) {
+	var b []byte
+	words := func(vs []float64) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	if r.Components != nil {
+		for _, d := range r.Components.Shape() {
+			b = binary.LittleEndian.AppendUint64(b, uint64(d))
+		}
+		words(r.Components.Data())
+	}
+	words(r.SingularValues)
+	words(r.ExplainedVariance)
+	w.Write(b)
+}
+
+// Fingerprint digests the job's name, kill step, analytics bits and
+// bridge counters. It is a pure function of the job's configuration and
+// kill step: other tenants on the platform and the admission
+// interleaving do not change it.
+func (r *Result) Fingerprint() string {
+	h := sha256.New()
+	kill := int64(-1)
+	if r.Killed {
+		kill = int64(r.KilledStep)
+	}
+	io.WriteString(h, r.Name)
+	binary.Write(h, binary.LittleEndian, kill)
+	r.WriteAnalytics(h)
+	binary.Write(h, binary.LittleEndian, [2]int64{r.BlocksSent, r.BlocksSkipped})
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Run executes one configuration end to end. An in-transit system runs
+// as the one job of its own platform (see runJobs).
 func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
 	if cfg.Ranks <= 0 || cfg.Workers <= 0 || cfg.Timesteps <= 0 || cfg.BlockBytes <= 0 {
 		return nil, fmt.Errorf("harness: ranks, workers, timesteps and block size must be positive")
 	}
-	if err := checkPlan(cfg.ChaosPlan); err != nil {
+	if cfg.ChaosPlan != nil && cfg.System < DEISA2 {
+		return nil, fmt.Errorf("harness: chaos injection needs an external-mode system (DEISA2 or DEISA3), got %s", cfg.System)
+	}
+	// The one job of Run has no name, so no killjob can target it.
+	if err := checkPlan(cfg.ChaosPlan, nil); err != nil {
 		return nil, err
 	}
 	if cfg.System.InTransit() {
@@ -227,14 +291,23 @@ func newPlatform(m Model, workers, ranks int, seed int64) *platform {
 	return &platform{model: m, machine: machine, place: place, reg: reg}
 }
 
-// newCluster deploys Dask on the platform's scheduler and worker nodes.
-func (p *platform) newCluster(memLimit int64, tb dask.TieBreaker) *dask.Cluster {
+// newCluster deploys Dask on the platform's scheduler and worker nodes
+// with cfg's memory limit, tie-breaking, tracing and auditing (a chaos
+// plan turns the auditor on too).
+func (p *platform) newCluster(cfg Config) *dask.Cluster {
 	d := p.model.Dask
 	d.MetadataEntryCost = p.model.MetaEntryCost
-	d.WorkerMemoryLimit = memLimit
-	d.TieBreak = tb
+	d.WorkerMemoryLimit = cfg.WorkerMemoryLimit
+	d.TieBreak = cfg.TieBreak
 	d.Metrics = p.reg
-	return dask.NewCluster(p.machine.Fabric(), d, p.place.SchedulerNode, p.place.WorkerNodes)
+	dc := dask.NewCluster(p.machine.Fabric(), d, p.place.SchedulerNode, p.place.WorkerNodes)
+	if cfg.EnableTrace {
+		dc.EnableTracing()
+	}
+	if cfg.EnableAudit || cfg.ChaosPlan != nil {
+		dc.EnableAudit()
+	}
+	return dc
 }
 
 // env is one job on a platform: its configuration, namespace ("" on
@@ -285,33 +358,18 @@ func newEnv(p *platform, cfg Config, ns string, rankNodes []netsim.NodeID) (*env
 	}, nil
 }
 
-// setup builds a single-job run: a platform of its own, the job on all
-// of its ranks.
-func setup(cfg Config) (*env, error) {
-	p := newPlatform(cfg.Model, cfg.Workers, cfg.Ranks, cfg.Seed)
-	return newEnv(p, cfg, "", p.place.RankNodes)
-}
-
-// deploy starts a single-job run's Dask cluster with the run's tracing
-// and auditing switches.
-func (e *env) deploy() *dask.Cluster {
-	dc := e.newCluster(e.cfg.WorkerMemoryLimit, e.cfg.TieBreak)
-	if e.cfg.EnableTrace {
-		dc.EnableTracing()
-	}
-	if e.cfg.EnableAudit {
-		dc.EnableAudit()
-	}
-	return dc
-}
-
-// aggregate fills the measurement part of a Result.
-func (e *env) aggregate(stepDur, commDur [][]float64, simEnds []float64) *Result {
+// aggregate fills the measurement and analytics parts of a Result.
+func (e *env) aggregate(stepDur, commDur [][]float64, simEnds []float64, a analyticsResult) *Result {
 	cfg, m := e.cfg, e.cfg.Model
 	res := &Result{
-		Config:         cfg,
-		SimNodes:       (cfg.Ranks + m.RanksPerNode - 1) / m.RanksPerNode,
-		AnalyticsNodes: 2 + (cfg.Workers+m.WorkersPerNode-1)/m.WorkersPerNode,
+		Config:            cfg,
+		Name:              e.ns,
+		SimNodes:          (cfg.Ranks + m.RanksPerNode - 1) / m.RanksPerNode,
+		AnalyticsNodes:    2 + (cfg.Workers+m.WorkersPerNode-1)/m.WorkersPerNode,
+		AnalyticsTime:     a.duration,
+		Components:        a.components,
+		SingularValues:    a.singularValues,
+		ExplainedVariance: a.explainedVariance,
 	}
 	var steps, comms []float64
 	for r := 0; r < cfg.Ranks; r++ {
@@ -328,70 +386,18 @@ func (e *env) aggregate(stepDur, commDur [][]float64, simEnds []float64) *Result
 	return res
 }
 
-// runInTransit executes DEISA1/2/3 as the only job on its own platform.
+// runInTransit executes DEISA1/2/3 as the one job of its own platform:
+// unnamed, so on the default tenant, with unlimited admission.
 func runInTransit(cfg Config) (*Result, error) {
-	e, err := setup(cfg)
+	job := JobSpec{Ranks: cfg.Ranks, Timesteps: cfg.Timesteps, BlockBytes: cfg.BlockBytes}
+	out, err := runJobs(cfg, multijob.Limits{}, []JobSpec{job})
 	if err != nil {
 		return nil, err
 	}
-	dc := e.deploy()
-	defer dc.Close()
-	var ctrl *chaos.Controller
-	if cfg.ChaosPlan != nil {
-		if cfg.System == DEISA1 {
-			return nil, fmt.Errorf("harness: chaos injection needs an external-mode system, got %s", cfg.System)
-		}
-		dc.EnableAudit()
-		ctrl, err = chaos.NewController(cfg.ChaosPlan, dc)
-		if err != nil {
-			return nil, err
-		}
-		ctrl.InstallLinkFaults(e.machine.Fabric())
-	}
-	j, err := e.runJob(dc, ctrl, cfg.Timesteps)
-	if err != nil {
-		return nil, err
-	}
-
-	res := e.aggregate(j.stepDur, j.commDur, j.simEnds)
-	for _, b := range j.bridges {
-		sent, skipped := b.Stats()
-		res.BlocksSent += sent
-		res.BlocksSkipped += skipped
-	}
-	if ctrl != nil {
-		res.ChaosLog = ctrl.Log()
-	}
-	e.finish(res, dc, j.analytics, 0)
-	res.Metrics = e.reg.Snapshot()
+	res := &out.Jobs[0]
+	res.Metrics, res.ChaosLog = out.Metrics, out.ChaosLog
+	res.AuditLog, res.AuditTruncated = out.AuditLog, out.AuditTruncated
 	return res, nil
-}
-
-// finish records the analytics outputs (the analytics started at virtual
-// time start) and the cluster's trace and audit log on res, and
-// closes the utilization gauges at the end of the run, which it returns.
-func (e *env) finish(res *Result, dc *dask.Cluster, a analyticsResult, start vtime.Time) vtime.Time {
-	res.AnalyticsTime = a.duration
-	res.Components = a.components
-	res.SingularValues = a.singularValues
-	res.ExplainedVariance = a.explainedVariance
-	res.Trace = dc.TraceEvents()
-	if dc.AuditEnabled() {
-		res.AuditLog = dc.AuditLog()
-		res.AuditTruncated = dc.AuditTruncated()
-	}
-	end := vtime.MaxTime(res.SimMakespan, start+res.AnalyticsTime)
-	dc.RecordUtilization(end)
-	e.machine.Fabric().RecordUtilization(end)
-	return end
-}
-
-// jobRun is what one in-transit job measured.
-type jobRun struct {
-	stepDur, commDur [][]float64
-	simEnds          []float64
-	analytics        analyticsResult
-	bridges          []*core.Bridge
 }
 
 // runJob drives one in-transit job on a deployed cluster: its MPI world
@@ -400,7 +406,7 @@ type jobRun struct {
 // (fewer than cfg.Timesteps when the job is killed). ctrl, when non-nil,
 // intercepts every publish; once the rank loop is done, blocks lost to
 // worker kills are republished.
-func (e *env) runJob(dc *dask.Cluster, ctrl *chaos.Controller, steps int) (*jobRun, error) {
+func (e *env) runJob(dc *dask.Cluster, ctrl *chaos.Controller, steps int) (*Result, error) {
 	cfg := e.cfg
 	mode := core.ModeExternal
 	if cfg.System == DEISA1 {
@@ -528,19 +534,20 @@ func (e *env) runJob(dc *dask.Cluster, ctrl *chaos.Controller, steps int) (*jobR
 	for err := range errs {
 		return nil, err
 	}
-	return &jobRun{
-		stepDur:   stepDur,
-		commDur:   commDur,
-		simEnds:   simEnds,
-		analytics: analytics,
-		bridges:   bridges,
-	}, nil
+	res := e.aggregate(stepDur, commDur, simEnds, analytics)
+	for _, b := range bridges {
+		sent, skipped := b.Stats()
+		res.BlocksSent += sent
+		res.BlocksSkipped += skipped
+	}
+	return res, nil
 }
 
 // runPostHoc executes the DASK baseline: simulation writes chunked files
 // to the shared PFS, then plain Dask analytics read them back.
 func runPostHoc(cfg Config) (*Result, error) {
-	e, err := setup(cfg)
+	p := newPlatform(cfg.Model, cfg.Workers, cfg.Ranks, cfg.Seed)
+	e, err := newEnv(p, cfg, "", p.place.RankNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -605,7 +612,7 @@ func runPostHoc(cfg Config) (*Result, error) {
 	fs.ReleaseBefore(simEnd)
 
 	// Analytics phase: a fresh Dask deployment reading from the PFS.
-	dc := e.deploy()
+	dc := p.newCluster(cfg)
 	defer dc.Close()
 	client := dc.NewClient("analytics", e.place.ClientNode, math.Inf(1))
 	client.Compute(simEnd) // the analytics job starts when the data is complete
@@ -620,9 +627,16 @@ func runPostHoc(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := e.aggregate(stepDur, writeDur, simEnds)
-	fs.RecordUtilization(e.finish(res, dc, analytics, simEnd))
-	res.Metrics = e.reg.Snapshot()
+	res := e.aggregate(stepDur, writeDur, simEnds, analytics)
+	res.Trace = dc.TraceEvents()
+	if dc.AuditEnabled() {
+		res.AuditLog, res.AuditTruncated = dc.AuditLog(), dc.AuditTruncated()
+	}
+	end := vtime.MaxTime(res.SimMakespan, simEnd+res.AnalyticsTime)
+	dc.RecordUtilization(end)
+	p.machine.Fabric().RecordUtilization(end)
+	fs.RecordUtilization(end)
+	res.Metrics = p.reg.Snapshot()
 	return res, nil
 }
 

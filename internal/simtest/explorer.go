@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"deisago/internal/chaos"
@@ -145,31 +144,12 @@ func outcome(fingerprint string, log []dask.Transition, truncated int64, decisio
 // bit-identical across all legal schedules of the same spec.
 func Fingerprint(res *harness.Result) string {
 	h := sha256.New()
-	w := func(vs ...uint64) {
-		var buf [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
-		}
-	}
-	if res.Components != nil {
-		for _, d := range res.Components.Shape() {
-			w(uint64(d))
-		}
-		for _, v := range res.Components.Data() {
-			w(math.Float64bits(v))
-		}
-	}
-	for _, v := range res.SingularValues {
-		w(math.Float64bits(v))
-	}
-	for _, v := range res.ExplainedVariance {
-		w(math.Float64bits(v))
-	}
+	res.WriteAnalytics(h)
 	m := res.Metrics
-	w(uint64(m.Counter("dask/graphs_submitted")), uint64(m.Counter("dask/tasks_registered")),
-		uint64(m.Counter("dask/external_created")))
-	w(uint64(res.BlocksSent), uint64(res.BlocksSkipped))
+	binary.Write(h, binary.LittleEndian, [5]int64{
+		m.Counter("dask/graphs_submitted"), m.Counter("dask/tasks_registered"),
+		m.Counter("dask/external_created"), res.BlocksSent, res.BlocksSkipped,
+	})
 	for _, e := range res.ChaosLog {
 		io.WriteString(h, e.String())
 		io.WriteString(h, "\n")

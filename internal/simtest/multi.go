@@ -18,22 +18,12 @@ import (
 // transition log must replay cleanly through the reference model, which
 // sees every tenant's keys in one stream.
 
-// MultiJob sizes one tenant of a multi-spec. It mirrors
-// harness.JobSpec's observable fields, JSON-friendly.
-type MultiJob struct {
-	Name       string  `json:"name"`
-	Weight     float64 `json:"weight,omitempty"`
-	Ranks      int     `json:"ranks"`
-	Timesteps  int     `json:"timesteps"`
-	BlockBytes int64   `json:"block_bytes"`
-}
-
 // MultiSpec describes one multi-tenant run: the workload mix, the
 // platform shape, the fault plan, and the schedule seed or override
 // set.
 type MultiSpec struct {
-	Jobs    []MultiJob `json:"jobs"`
-	Workers int        `json:"workers"`
+	Jobs    []harness.JobSpec `json:"jobs"`
+	Workers int               `json:"workers"`
 	// MemLimit, when positive, turns on worker memory governance on the
 	// shared cluster.
 	MemLimit int64 `json:"mem_limit,omitempty"`
@@ -57,7 +47,7 @@ type MultiSpec struct {
 // tenants of different shapes and weights contending for three workers.
 func DefaultMultiSpec() MultiSpec {
 	return MultiSpec{
-		Jobs: []MultiJob{
+		Jobs: []harness.JobSpec{
 			{Name: "alpha", Weight: 2, Ranks: 2, Timesteps: 3, BlockBytes: 1 << 20},
 			{Name: "beta", Weight: 1, Ranks: 1, Timesteps: 4, BlockBytes: 1 << 20},
 		},
@@ -67,15 +57,8 @@ func DefaultMultiSpec() MultiSpec {
 
 // Config translates the spec to a harness multi-job configuration.
 func (sp MultiSpec) Config() (harness.MultiJobConfig, error) {
-	jobs := make([]harness.JobSpec, len(sp.Jobs))
-	for i, j := range sp.Jobs {
-		jobs[i] = harness.JobSpec{
-			Name: j.Name, Weight: j.Weight,
-			Ranks: j.Ranks, Timesteps: j.Timesteps, BlockBytes: j.BlockBytes,
-		}
-	}
 	cfg := harness.MultiJobConfig{
-		Jobs:              jobs,
+		Jobs:              sp.Jobs,
 		Workers:           sp.Workers,
 		Seed:              1,
 		MaxConcurrent:     sp.MaxConcurrent,
@@ -123,7 +106,7 @@ func MultiFingerprint(res *harness.MultiJobResult) string {
 	for _, j := range res.Jobs {
 		io.WriteString(h, j.Name)
 		io.WriteString(h, "=")
-		io.WriteString(h, j.Fingerprint)
+		io.WriteString(h, j.Fingerprint())
 		io.WriteString(h, "\n")
 	}
 	for _, e := range res.ChaosLog {

@@ -5,8 +5,8 @@
 # with parallel kernels or concurrent runtime machinery (admission
 # queue, FCFS resources and MPI rank goroutines included; with the
 # scheduler invariant auditor on and a fixed chaos seed), repeated runs
-# of the dask, core and harness tests under several GOMAXPROCS, the
-# reach audit (which also runs the CLI acceptance command, chaos plus
+# of the dask, core, harness and simtest tests under several GOMAXPROCS,
+# the reach audit (which also runs the CLI acceptance command, chaos plus
 # every quick-scale view, auditor on; see scripts/reach.sh), short fuzz
 # smokes of the scheduler auditor and the worker memory governor, the
 # planted-mutant self-test of the schedule-space oracle, and the
@@ -91,11 +91,12 @@ DEISA_AUDIT=1 go test -race \
     ./internal/vtime \
     ./internal/mpi
 
-echo "== repeated runs: dask, core and harness under -cpu 1,2,4 =="
-# Host-order races in the scheduler, the bridges and the sweep engine
-# show up as run-to-run flakes; three runs at each of three GOMAXPROCS
-# values give them nine chances per test.
-go test -count=3 -cpu 1,2,4 ./internal/dask ./internal/core ./internal/harness
+echo "== repeated runs: dask, core, harness and simtest under -cpu 1,2,4 =="
+# Host-order races in the scheduler, the bridges, the sweep engine and
+# the in-transit driver (which both schedule explorers drive) show up as
+# run-to-run flakes; three runs at each of three GOMAXPROCS values give
+# them nine chances per test.
+go test -count=3 -cpu 1,2,4 ./internal/dask ./internal/core ./internal/harness ./internal/simtest
 
 echo "== reach audit: CLI acceptance, README invocations, examples, bench tests =="
 # A coverage-instrumented CLI runs the acceptance command (the chaos
