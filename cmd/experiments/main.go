@@ -102,6 +102,9 @@ func run(args []string, stdout io.Writer) error {
 	if *jobs < 0 {
 		return fmt.Errorf("%w: -jobs %d is negative", errUsage, *jobs)
 	}
+	if *jobs > 0 && (*chaosSeed != 0 || *chaosPlan != "") {
+		return fmt.Errorf("%w: -chaos-seed and -chaos-plan run the single-job scenario, not -jobs; give the -jobs run its plan with -jobs-plan", errUsage)
+	}
 	opts.Parallel = *parallel
 	if !*all && *fig == "" && !*headline && *ablation == "" && *chaosSeed == 0 && *chaosPlan == "" &&
 		*system == "" && *jobs == 0 {

@@ -67,6 +67,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"negative jobs":                {"-quick", "-jobs", "-1"},
 		"negative jobs cap":            {"-quick", "-jobs", "2", "-jobs-max-concurrent", "-2"},
 		"non-finite weight":            {"-quick", "-jobs", "2", "-tenant-weights", "1,NaN"},
+		"jobs with chaos plan":         {"-quick", "-jobs", "3", "-chaos-plan", "killjob:job1@2;delay:0/1:0.1"},
+		"jobs with chaos seed":         {"-quick", "-jobs", "2", "-chaos-seed", "7"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var out bytes.Buffer

@@ -189,9 +189,10 @@ func (c *Controller) KillJobs() map[string]int {
 	return out
 }
 
-// InstallLinkFaults registers the plan's degrade events as fault hooks
-// on the fabric. Degradation applies in both directions of the named
-// link pair within the virtual window.
+// InstallLinkFaults sets the fabric's fault hook to the plan's degrade
+// events, folded into one hook: overlapping windows on a link multiply
+// their factors. Degradation applies in both directions of the named
+// link pair within the virtual window. Call it before traffic starts.
 func (c *Controller) InstallLinkFaults(f *netsim.Fabric) {
 	events := make([]Event, 0)
 	for _, ev := range c.plan.Events {
@@ -202,7 +203,7 @@ func (c *Controller) InstallLinkFaults(f *netsim.Fabric) {
 	if len(events) == 0 {
 		return
 	}
-	f.AddFaultHook(func(from, to netsim.NodeID, size int64, depart vtime.Time) netsim.FaultVerdict {
+	f.SetFaultHook(func(from, to netsim.NodeID, size int64, depart vtime.Time) netsim.FaultVerdict {
 		v := netsim.FaultVerdict{SlowFactor: 1}
 		for _, ev := range events {
 			match := (from == ev.From && to == ev.To) || (from == ev.To && to == ev.From)

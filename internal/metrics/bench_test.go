@@ -4,14 +4,14 @@ import "testing"
 
 // BenchmarkRegistryLookup measures resolving an existing instrument by
 // identity — the cost every call site that has not hoisted its handle
-// pays per event. The hot read path must be lock-free and allocation
-// free (the label key is rendered into a stack buffer); the latter is
-// pinned by TestLookupZeroAlloc.
+// pays per event: one uncontended mutex and one map probe. The lookup
+// must be allocation free (the label key is rendered into a stack
+// buffer), which TestLookupZeroAlloc pins.
 func BenchmarkRegistryLookup(b *testing.B) {
 	warm := func() *Registry {
 		r := NewRegistry()
-		// Resolve enough times that the identity is promoted to the
-		// lock-free clean level before measurement starts.
+		// Create the instruments and warm the call path before
+		// measurement starts.
 		for i := 0; i < 512; i++ {
 			r.Counter("fabric", "bytes", L("scope", "remote"))
 			r.Histogram("link", "queue_wait", L("link", "node3-eg"))

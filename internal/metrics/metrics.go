@@ -15,14 +15,13 @@
 // goroutines, so they are exported for inspection (JSON/CSV, Chrome
 // trace counter tracks) but excluded from the canonical form.
 //
-// Instrumentation must be free on the hot path, so the registry is
-// built never to contend where the workload does not: resolving an
-// existing instrument is lock-free and allocation-free (the label key
-// is rendered into a stack buffer and probed against an immutable map
-// snapshot), counters and gauge values are atomics, and histograms
-// stripe their observations over independently locked shards. Only the
-// first-use creation of an instrument takes the registry mutex. See
-// DESIGN.md §14 for the concurrency contract.
+// Hot call sites resolve their handles once and keep them, so the
+// instruments are the plainest that stay race-free: counters are
+// atomics, and the registry, each gauge and each histogram is guarded
+// by one mutex of its own. Resolving an existing instrument allocates
+// nothing (the label key is rendered into a stack buffer and probed
+// without materializing the string). See DESIGN.md §14 for the
+// concurrency contract.
 //
 // All handle methods are nil-safe: a nil *Counter/*Gauge/*Histogram (as
 // returned by getters on a nil *Registry) is a no-op, so instrumented
@@ -31,7 +30,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -105,110 +103,39 @@ func ID(component, name string, labels ...Label) string {
 	return string(appendID(kb[:0], component, name, labels))
 }
 
-// rcuMap is a two-level map with a lock-free read path. The clean level
-// is an immutable snapshot behind an atomic pointer: readers probe it
-// without synchronization and without materializing the key string.
-// Identities not yet promoted live in the dirty level, reachable only
-// through the slow path under Registry.mu; promotion merges dirty into
-// a fresh clean snapshot once dirty grows past a fraction of clean (so
-// total copying stays amortized linear-ish even when thousands of
-// instruments are created eagerly) or once dirty entries have absorbed
-// enough locked lookups that leaving them unpromoted would make a warm
-// call site keep paying for the mutex.
-type rcuMap[T any] struct {
-	clean     atomic.Pointer[map[string]T]
-	dirty     map[string]T // guarded by Registry.mu
-	dirtyHits int          // locked lookups served from dirty since last promote
-}
-
-func (m *rcuMap[T]) init() {
-	empty := map[string]T{}
-	m.clean.Store(&empty)
-	m.dirty = map[string]T{}
-}
-
-// get probes the lock-free clean level. The compiler elides the
-// string(k) materialization in the map index, so a hit costs no
-// allocation and no lock.
-func (m *rcuMap[T]) get(k []byte) (T, bool) {
-	v, ok := (*m.clean.Load())[string(k)]
-	return v, ok
-}
-
-// promotion thresholds: see rcuMap.
-const (
-	dirtyPromoteMin  = 16
-	dirtyPromoteHits = 64
-)
-
-// getOrCreate resolves id through the dirty level, creating the
-// instrument on first use. Caller holds Registry.mu.
-func (m *rcuMap[T]) getOrCreate(id string, mk func() T) T {
-	if v, ok := m.dirty[id]; ok {
-		m.dirtyHits++
-		if m.dirtyHits >= dirtyPromoteHits {
-			m.promote()
-		}
-		return v
-	}
-	clean := *m.clean.Load()
-	if v, ok := clean[id]; ok {
-		// Published concurrently with the reader's failed probe.
-		return v
-	}
-	v := mk()
-	m.dirty[id] = v
-	if n := len(m.dirty); n >= dirtyPromoteMin && 4*n >= len(clean) {
-		m.promote()
-	}
-	return v
-}
-
-// promote merges dirty into a fresh immutable clean snapshot. Caller
-// holds Registry.mu.
-func (m *rcuMap[T]) promote() {
-	clean := *m.clean.Load()
-	merged := make(map[string]T, len(clean)+len(m.dirty))
-	for k, v := range clean {
-		merged[k] = v
-	}
-	for k, v := range m.dirty {
-		merged[k] = v
-	}
-	m.clean.Store(&merged)
-	m.dirty = map[string]T{}
-	m.dirtyHits = 0
-}
-
-// each calls fn for every instrument across both levels. Caller holds
-// Registry.mu; an identity lives in exactly one level.
-func (m *rcuMap[T]) each(fn func(T)) {
-	for _, v := range *m.clean.Load() {
-		fn(v)
-	}
-	for _, v := range m.dirty {
-		fn(v)
-	}
-}
-
 // Registry holds every metric of one run. All methods are safe for
-// concurrent use; getters on a nil registry return nil handles.
-// Resolving an existing instrument never takes the mutex — only
-// first-use creation (and promotion bookkeeping) does.
+// concurrent use; getters on a nil registry return nil handles. One
+// mutex guards the three maps: every hot call site holds a resolved
+// handle, so a run makes at most a few thousand lookups and the lock is
+// rarely contended.
 type Registry struct {
-	mu       sync.Mutex // creation slow path and snapshot collection only
-	counters rcuMap[*Counter]
-	gauges   rcuMap[*Gauge]
-	hists    rcuMap[*Histogram]
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	r.counters.init()
-	r.gauges.init()
-	r.hists.init()
-	return r
+	return &Registry{
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
+		hists:    map[string]*Histogram{},
+	}
+}
+
+// resolve returns m's instrument for the rendered identity k, creating
+// it with mk on first use. Caller holds Registry.mu. Indexing with
+// string(k) does not materialize the key, so a warm lookup allocates
+// nothing.
+func resolve[T any](m map[string]*T, k []byte, mk func(id string) *T) *T {
+	if v, ok := m[string(k)]; ok {
+		return v
+	}
+	id := string(k)
+	v := mk(id)
+	m[id] = v
+	return v
 }
 
 // Counter returns (creating on first use) the counter with the given
@@ -219,16 +146,9 @@ func (r *Registry) Counter(component, name string, labels ...Label) *Counter {
 	}
 	var kb [idBufCap]byte
 	k := appendID(kb[:0], component, name, labels)
-	if c, ok := r.counters.get(k); ok {
-		return c
-	}
-	return r.counterSlow(string(k))
-}
-
-func (r *Registry) counterSlow(id string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters.getOrCreate(id, func() *Counter { return &Counter{id: id} })
+	return resolve(r.counters, k, func(id string) *Counter { return &Counter{id: id} })
 }
 
 // Gauge returns (creating on first use) the gauge with the given
@@ -239,16 +159,9 @@ func (r *Registry) Gauge(component, name string, labels ...Label) *Gauge {
 	}
 	var kb [idBufCap]byte
 	k := appendID(kb[:0], component, name, labels)
-	if g, ok := r.gauges.get(k); ok {
-		return g
-	}
-	return r.gaugeSlow(string(k))
-}
-
-func (r *Registry) gaugeSlow(id string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gauges.getOrCreate(id, func() *Gauge { return &Gauge{id: id, stride: 1} })
+	return resolve(r.gauges, k, func(id string) *Gauge { return &Gauge{id: id, stride: 1} })
 }
 
 // Histogram returns (creating on first use) the histogram with the given
@@ -259,16 +172,9 @@ func (r *Registry) Histogram(component, name string, labels ...Label) *Histogram
 	}
 	var kb [idBufCap]byte
 	k := appendID(kb[:0], component, name, labels)
-	if h, ok := r.hists.get(k); ok {
-		return h
-	}
-	return r.histogramSlow(string(k))
-}
-
-func (r *Registry) histogramSlow(id string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.hists.getOrCreate(id, func() *Histogram { return &Histogram{id: id} })
+	return resolve(r.hists, k, func(id string) *Histogram { return &Histogram{id: id} })
 }
 
 // Counter is a monotonically increasing integer metric.
@@ -318,16 +224,15 @@ type Sample struct {
 const maxGaugeSamples = 2048
 
 // Gauge is an instantaneous value with a virtual-time series of its
-// updates (the counter tracks of a Chrome trace). The current value is
-// an atomic (lock-free reads); only the retained series is mutex
-// guarded, per gauge.
+// updates (the counter tracks of a Chrome trace), both guarded by the
+// gauge's own mutex.
 type Gauge struct {
-	id  string
-	cur atomic.Uint64 // Float64bits of the current value
+	id string
 
 	mu      sync.Mutex
-	updates int64 // Set calls seen
-	stride  int64 // keep every stride-th update in the series
+	cur     float64 // current value
+	updates int64   // Set calls seen
+	stride  int64   // keep every stride-th update in the series
 	samples []Sample
 }
 
@@ -344,8 +249,8 @@ func (g *Gauge) Set(v float64, at vtime.Time) {
 	if g == nil {
 		return
 	}
-	g.cur.Store(math.Float64bits(v))
 	g.mu.Lock()
+	g.cur = v
 	if g.updates%g.stride == 0 {
 		if len(g.samples) >= maxGaugeSamples {
 			// Deterministic decimation: keep even indices, double stride.
@@ -367,7 +272,9 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.cur.Load())
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.cur
 }
 
 // Series returns a copy of the retained samples in update order.
@@ -380,27 +287,12 @@ func (g *Gauge) Series() []Sample {
 	return append([]Sample(nil), g.samples...)
 }
 
-// histShards stripes a histogram's observations. Observation order
-// inside and across shards is immaterial: Stats sorts the merged sample
-// set before summarizing, so the result is bit-identical to a single
-// serially filled list.
-const histShards = 8
-
-type histShard struct {
-	mu sync.Mutex
-	xs []float64
-	_  [32]byte // keep neighboring shards off one cache line
-}
-
 // Histogram collects float64 observations (virtual durations, queue
 // waits) and summarizes them with the vtime percentile statistics.
-// Observations go to one of histShards independently locked stripes
-// picked round-robin, so concurrent observers of one instrument contend
-// 1/histShards as often as on a single lock.
 type Histogram struct {
 	id string
-	rr atomic.Uint32
-	sh [histShards]histShard
+	mu sync.Mutex
+	xs []float64
 }
 
 // ID returns the histogram's canonical identifier.
@@ -416,40 +308,21 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	s := &h.sh[h.rr.Add(1)%histShards]
-	s.mu.Lock()
-	s.xs = append(s.xs, v)
-	s.mu.Unlock()
+	h.mu.Lock()
+	h.xs = append(h.xs, v)
+	h.mu.Unlock()
 }
 
-// gather copies every shard's samples into one slice.
-func (h *Histogram) gather() []float64 {
-	n := 0
-	for i := range h.sh {
-		s := &h.sh[i]
-		s.mu.Lock()
-		n += len(s.xs)
-		s.mu.Unlock()
-	}
-	xs := make([]float64, 0, n)
-	for i := range h.sh {
-		s := &h.sh[i]
-		s.mu.Lock()
-		xs = append(xs, s.xs...)
-		s.mu.Unlock()
-	}
-	return xs
-}
-
-// Stats summarizes the observations. The merged samples are sorted
-// before summarizing so the result (including the floating-point Sum)
-// is independent of observation order and of how observations were
-// striped over shards.
+// Stats summarizes the observations. A copy of the samples is sorted
+// before summarizing, so the result (including the floating-point Sum)
+// is independent of observation order.
 func (h *Histogram) Stats() vtime.Stats {
 	if h == nil {
 		return vtime.Stats{}
 	}
-	xs := h.gather()
+	h.mu.Lock()
+	xs := append([]float64(nil), h.xs...)
+	h.mu.Unlock()
 	sort.Float64s(xs)
 	return vtime.Summarize(xs)
 }

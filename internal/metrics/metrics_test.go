@@ -303,14 +303,9 @@ func (h *Histogram) Count() int {
 	if h == nil {
 		return 0
 	}
-	n := 0
-	for i := range h.sh {
-		s := &h.sh[i]
-		s.mu.Lock()
-		n += len(s.xs)
-		s.mu.Unlock()
-	}
-	return n
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.xs)
 }
 
 // Histogram returns the summary for the histogram with the given ID and

@@ -50,25 +50,17 @@ func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return s
 	}
-	// Collect handles under the creation mutex (instruments live in the
-	// immutable clean level or the dirty overflow; each visits both),
-	// then read their values lock-free afterwards.
+	// Instruments take their own locks inside the registry's; nothing
+	// takes them in the other order.
 	r.mu.Lock()
-	var counters []*Counter
-	r.counters.each(func(c *Counter) { counters = append(counters, c) })
-	var gauges []*Gauge
-	r.gauges.each(func(g *Gauge) { gauges = append(gauges, g) })
-	var hists []*Histogram
-	r.hists.each(func(h *Histogram) { hists = append(hists, h) })
-	r.mu.Unlock()
-
-	for _, c := range counters {
+	defer r.mu.Unlock()
+	for _, c := range r.counters {
 		s.Counters = append(s.Counters, CounterSnap{ID: c.ID(), Value: c.Load()})
 	}
-	for _, g := range gauges {
+	for _, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeSnap{ID: g.ID(), Value: g.Value(), Samples: g.Series()})
 	}
-	for _, h := range hists {
+	for _, h := range r.hists {
 		st := h.Stats()
 		s.Histograms = append(s.Histograms, HistSnap{
 			ID: h.ID(), N: st.N, Mean: st.Mean, Std: st.Std,

@@ -47,7 +47,7 @@ func hammer(n, ops int, parallel bool) *Registry {
 // instruments from many goroutines and requires the canonical JSON and
 // the full CSV snapshot to match a serially computed twin byte for byte.
 // Counters are order-independent sums, histogram stats sort before
-// summarizing (so shard layout is invisible), and per-worker gauges see
+// summarizing (so observation order is invisible), and per-worker gauges see
 // their updates in program order — nothing observable may depend on
 // goroutine scheduling.
 func TestConcurrentStressMatchesSerial(t *testing.T) {
@@ -92,8 +92,8 @@ func TestConcurrentCreateIdentity(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Same identity from every goroutine, plus enough distinct
-			// identities to push the dirty level through promotions.
+			// Same identity from every goroutine, plus distinct
+			// identities created while the others resolve.
 			got[w] = r.Counter("race", "winner", L("k", "v"))
 			for i := 0; i < 64; i++ {
 				r.Counter("race", "filler", LInt("i", i)).Inc()
@@ -116,10 +116,10 @@ func TestConcurrentCreateIdentity(t *testing.T) {
 
 // TestLookupZeroAlloc pins the zero-allocation property of the warm read
 // path: resolving an existing instrument must not allocate, including the
-// label-key rendering (stack buffer) and the map read (clean-level hit).
+// label-key rendering (stack buffer) and the map read (string(k) index).
 func TestLookupZeroAlloc(t *testing.T) {
 	r := NewRegistry()
-	// Warm until promoted to the clean level.
+	// Create the instruments and warm the call path.
 	for i := 0; i < 512; i++ {
 		r.Counter("fabric", "bytes", L("scope", "remote"))
 		r.Histogram("link", "queue_wait", L("link", "node3-eg"))
@@ -142,8 +142,8 @@ func TestLookupZeroAlloc(t *testing.T) {
 }
 
 // TestPromotionUnderChurn creates instruments while readers resolve
-// existing ones, across enough identities to force several clean-level
-// promotions, and checks nothing is lost or duplicated.
+// existing ones, across many identities, and checks nothing is lost or
+// duplicated.
 func TestPromotionUnderChurn(t *testing.T) {
 	const workers, perWorker = 8, 200
 	r := NewRegistry()
@@ -155,7 +155,7 @@ func TestPromotionUnderChurn(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				r.Counter("churn", "c", LInt("w", w), LInt("i", i)).Inc()
 				// Re-resolve an earlier identity: must hit the same handle
-				// whether it has been promoted or still sits dirty.
+				// it was created as.
 				r.Counter("churn", "c", LInt("w", w), LInt("i", i/2)).Inc()
 			}
 		}(w)

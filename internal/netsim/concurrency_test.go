@@ -16,13 +16,13 @@ import (
 // TestResetAfterConcurrentTransfers drives the fabric from many
 // goroutines — with a fault hook dropping part of the traffic — checks
 // the registry totals, and then checks that Reset returns the fabric to
-// its initial state: hooks gone, links idle at time zero.
+// its initial state: hook gone, links idle at time zero.
 func TestResetAfterConcurrentTransfers(t *testing.T) {
 	const pairs, perPair = 8, 50
 	f := New(benchConfig(), 2*pairs)
 	reg := metrics.NewRegistry()
 	f.UseMetrics(reg)
-	f.AddFaultHook(func(from, to NodeID, size int64, depart vtime.Time) FaultVerdict {
+	f.SetFaultHook(func(from, to NodeID, size int64, depart vtime.Time) FaultVerdict {
 		// Deterministic partial loss: drop transfers from even senders.
 		return FaultVerdict{Drop: from%4 == 0}
 	})
@@ -76,8 +76,8 @@ func TestResetAfterConcurrentTransfers(t *testing.T) {
 // chains serially and from parallel goroutines and requires bit-identical
 // results: every arrival time, the fabric totals, and the canonical
 // metric snapshot. This is the contract the parallel harness leans on —
-// lock-free accounting must not change any observable value, only its
-// cost.
+// how accounting is synchronized must not change any observable value,
+// only its cost.
 func TestConcurrentTransfersDeterministic(t *testing.T) {
 	const pairs, perPair = 8, 40
 	run := func(parallel bool) ([]vtime.Time, int64, int64, []byte) {

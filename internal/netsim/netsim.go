@@ -12,11 +12,12 @@
 // hot links delay the whole flow.
 //
 // Concurrent transfers contend only where the model says they contend —
-// on the per-link vtime.Resource mutexes along their paths — never on
-// fabric bookkeeping: the only totals are the attached registry's
-// counters, whose handles are resolved once (fabric totals in
-// UseMetrics, per-link bundles CAS-cached on first use), and fault hooks are read through an atomic
-// snapshot pointer (DESIGN.md §14).
+// on the per-link vtime.Resource mutexes along their paths, each followed
+// by that link's own queue-wait histogram — never on fabric-wide
+// bookkeeping: the only totals are the attached registry's counters,
+// whose handles are resolved once (fabric totals in UseMetrics, per-link
+// bundles CAS-cached on first use), and the one fault hook is set before
+// traffic starts (DESIGN.md §14).
 //
 // The paper's Experiment II (Figure 5) attributes run-to-run variability
 // to which leaf switch each allocated node lands on; Fabric exposes hop
@@ -26,7 +27,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"deisago/internal/metrics"
@@ -91,8 +91,8 @@ type FaultVerdict struct {
 }
 
 // FaultHook inspects one transfer before it is booked and returns a
-// verdict. Hooks must be deterministic functions of their arguments so
-// seeded runs reproduce; they are called with no fabric lock held and may
+// verdict. A hook must be a deterministic function of its arguments so
+// seeded runs reproduce; it is called with no fabric lock held and may
 // not call back into the fabric.
 type FaultHook func(from, to NodeID, size int64, depart vtime.Time) FaultVerdict
 
@@ -141,18 +141,14 @@ type leafSwitch struct {
 }
 
 // Fabric is a simulated interconnect. All methods are safe for concurrent
-// use; UseMetrics must be called before traffic starts.
+// use; UseMetrics and SetFaultHook must be called before traffic starts.
 type Fabric struct {
 	cfg    Config
 	upBW   float64 // uplink bandwidth, precomputed at New
 	nodes  []*node
 	leaves []*leafSwitch
 
-	// Fault hooks behind an atomic snapshot: the transfer path loads the
-	// current slice pointer; AddFaultHook swaps in a fresh slice under
-	// hookMu (copy-on-write, writers only).
-	hooks  atomic.Pointer[[]FaultHook]
-	hookMu sync.Mutex
+	hook FaultHook // set by SetFaultHook; nil means no faults
 
 	// Registry and fabric-total handles, resolved once by UseMetrics.
 	reg              *metrics.Registry
@@ -344,38 +340,24 @@ func (f *Fabric) RecordUtilization(at vtime.Time) {
 	}
 }
 
-// AddFaultHook installs a fault hook consulted on every transfer (chaos
-// fault injection: link degradation, extra latency, message drops). Hooks
-// compose: slow factors multiply, latencies add, and any Drop verdict
-// drops the message.
-func (f *Fabric) AddFaultHook(h FaultHook) {
-	f.hookMu.Lock()
-	var hooks []FaultHook
-	if old := f.hooks.Load(); old != nil {
-		hooks = append(hooks, *old...)
-	}
-	hooks = append(hooks, h)
-	f.hooks.Store(&hooks)
-	f.hookMu.Unlock()
-}
+// SetFaultHook installs the fault hook consulted on every transfer
+// (chaos fault injection: link degradation, extra latency, message
+// drops), replacing any earlier one; nil removes it. Like UseMetrics,
+// call it before traffic starts: transfers read the hook unsynchronized
+// on the strength of that happens-before.
+func (f *Fabric) SetFaultHook(h FaultHook) { f.hook = h }
 
-// verdict combines every hook's verdict for one transfer. It reads the
-// hook snapshot through the atomic pointer: no lock on the transfer path.
+// verdict asks the fault hook about one transfer. A SlowFactor <= 0
+// counts as 1.
 func (f *Fabric) verdict(from, to NodeID, size int64, depart vtime.Time) FaultVerdict {
-	out := FaultVerdict{SlowFactor: 1}
-	hp := f.hooks.Load()
-	if hp == nil {
-		return out
+	if f.hook == nil {
+		return FaultVerdict{SlowFactor: 1}
 	}
-	for _, h := range *hp {
-		v := h(from, to, size, depart)
-		if v.SlowFactor > 0 {
-			out.SlowFactor *= v.SlowFactor
-		}
-		out.ExtraLatency += v.ExtraLatency
-		out.Drop = out.Drop || v.Drop
+	v := f.hook(from, to, size, depart)
+	if v.SlowFactor <= 0 {
+		v.SlowFactor = 1
 	}
-	return out
+	return v
 }
 
 // Transfer simulates moving size bytes from one node to another, departing
@@ -398,9 +380,11 @@ func (f *Fabric) Transfer(from, to NodeID, size int64, depart vtime.Time) vtime.
 // transfer still occupies its path (the bytes entered the wire before
 // being lost) and the returned time is when the loss is final.
 //
-// The only synchronization on this path is the per-link Resource booking
-// along the transfer's own route: metric handles are pre-resolved or
-// CAS-cached (and nil-safe when no registry is attached), the fault snapshot and jitter are lock-free reads.
+// The only locks on this path are the per-link Resource bookings along
+// the transfer's own route and each booked link's histogram: metric
+// handles are pre-resolved or CAS-cached (and nil-safe when no registry
+// is attached), and the fault hook and the jitter hash read no shared
+// mutable state.
 func (f *Fabric) TransferChecked(from, to NodeID, size int64, depart vtime.Time) (vtime.Time, bool) {
 	if size < 0 {
 		panic("netsim: negative transfer size")

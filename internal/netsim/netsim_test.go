@@ -233,7 +233,7 @@ func TestFaultHookDegradesLink(t *testing.T) {
 	base := New(cfg, 10).Transfer(0, 1, size, 0)
 
 	f := New(cfg, 10)
-	f.AddFaultHook(func(from, to NodeID, _ int64, _ float64) FaultVerdict {
+	f.SetFaultHook(func(from, to NodeID, _ int64, _ float64) FaultVerdict {
 		if (from == 0 && to == 1) || (from == 1 && to == 0) {
 			return FaultVerdict{SlowFactor: 4}
 		}
@@ -257,7 +257,7 @@ func TestFaultHookDegradesLink(t *testing.T) {
 func TestFaultHookWindowAndLatency(t *testing.T) {
 	cfg := testConfig()
 	f := New(cfg, 4)
-	f.AddFaultHook(func(_, _ NodeID, _ int64, depart float64) FaultVerdict {
+	f.SetFaultHook(func(_, _ NodeID, _ int64, depart float64) FaultVerdict {
 		if depart >= 1 && depart < 2 {
 			return FaultVerdict{ExtraLatency: 0.5}
 		}
@@ -279,7 +279,7 @@ func TestFaultHookDrops(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f.UseMetrics(reg)
 	drops := 0
-	f.AddFaultHook(func(from, to NodeID, _ int64, _ float64) FaultVerdict {
+	f.SetFaultHook(func(from, to NodeID, _ int64, _ float64) FaultVerdict {
 		return FaultVerdict{Drop: from == 0 && to == 1}
 	})
 	if _, ok := f.TransferChecked(0, 1, 1024, 0); ok {
@@ -295,7 +295,7 @@ func TestFaultHookDrops(t *testing.T) {
 	if _, _, got := fabricTotals(reg); got != int64(drops) {
 		t.Fatalf("fabric/dropped = %d, want %d", got, drops)
 	}
-	f.Reset() // clears the hooks
+	f.Reset() // clears the hook
 	if _, ok := f.TransferChecked(0, 1, 1024, 0); !ok {
 		t.Fatal("drop survived Reset")
 	}
@@ -304,15 +304,42 @@ func TestFaultHookDrops(t *testing.T) {
 	}
 }
 
+// TestSetFaultHookReplaces: a second SetFaultHook replaces the first
+// instead of composing with it, and nil removes the hook.
+func TestSetFaultHookReplaces(t *testing.T) {
+	cfg := testConfig()
+	size := int64(1 << 20)
+	base := New(cfg, 4).Transfer(0, 1, size, 0)
+
+	f := New(cfg, 4)
+	f.SetFaultHook(func(_, _ NodeID, _ int64, _ float64) FaultVerdict {
+		return FaultVerdict{Drop: true, ExtraLatency: 0.5}
+	})
+	f.SetFaultHook(func(_, _ NodeID, _ int64, _ float64) FaultVerdict {
+		return FaultVerdict{ExtraLatency: 0.25, SlowFactor: -1}
+	})
+	got, ok := f.TransferChecked(0, 1, size, 0)
+	if !ok {
+		t.Fatal("the replaced hook's Drop still applies")
+	}
+	// Only the second hook's latency; its SlowFactor <= 0 counts as 1.
+	if math.Abs(got-(base+0.25)) > 1e-12 {
+		t.Fatalf("arrival %v, want %v (baseline plus the second hook's latency only)", got, base+0.25)
+	}
+
+	f.SetFaultHook(nil)
+	if got, ok := f.TransferChecked(0, 1, size, 10); !ok || math.Abs((got-10)-base) > 1e-12 {
+		t.Fatalf("after SetFaultHook(nil): arrival %v (ok=%v), want %v", got-10, ok, base)
+	}
+}
+
 // Reset returns every link to idle at time zero and clears the fault
-// hooks. Traffic totals live in the attached registry, which a fresh run
+// hook. Traffic totals live in the attached registry, which a fresh run
 // replaces with UseMetrics. Jitter needs no re-seeding: it is a
 // stateless hash of each transfer, so repeated runs are identical by
 // construction.
 func (f *Fabric) Reset() {
-	f.hookMu.Lock()
-	f.hooks.Store(nil)
-	f.hookMu.Unlock()
+	f.hook = nil
 	for _, n := range f.nodes {
 		n.egress.Reset()
 		n.ingress.Reset()

@@ -4,8 +4,10 @@
 # and multi-tenant explorers), a race-detector pass over the packages
 # with parallel kernels or concurrent runtime machinery (admission
 # queue, FCFS resources and MPI rank goroutines included; with the
-# scheduler invariant auditor on and a fixed chaos seed), repeated runs
-# of the dask, core, harness and simtest tests under several GOMAXPROCS,
+# scheduler invariant auditor on and a fixed chaos seed), repeated
+# race-detector runs of the metrics and netsim concurrency tests,
+# repeated runs of the dask, core, harness and simtest tests under
+# several GOMAXPROCS,
 # the reach audit (which also runs the CLI acceptance command, chaos plus
 # every quick-scale view, auditor on; see scripts/reach.sh), short fuzz
 # smokes of the scheduler auditor and the worker memory governor, the
@@ -90,6 +92,13 @@ DEISA_AUDIT=1 go test -race \
     ./internal/pfs \
     ./internal/vtime \
     ./internal/mpi
+
+echo "== go test -race -count=10: metrics and netsim concurrency tests =="
+# The registry, each gauge and each histogram hold one plain mutex, and
+# the fabric's fault hook is a plain field set before traffic. Ten
+# race-detector runs of their concurrency, stress, churn and reset tests
+# give those locks many interleavings.
+go test -race -count=10 -run 'Concurrent|Stress|Churn|Reset' ./internal/metrics ./internal/netsim
 
 echo "== repeated runs: dask, core, harness and simtest under -cpu 1,2,4 =="
 # Host-order races in the scheduler, the bridges, the sweep engine and
