@@ -78,12 +78,11 @@ func run(args []string, stdout io.Writer) error {
 		metrics  = fs.String("metrics-out", "", "with -system, write the run's metrics snapshot to this file (.csv extension selects CSV, anything else JSON)")
 
 		chaosSeed = fs.Int64("chaos-seed", 0, "run the Fig-2b pipeline under a seeded random fault plan (kills, link degradation, dropped publishes) and verify results against the fault-free run")
-		chaosPlan = fs.String("chaos-plan", "", "explicit fault plan DSL, e.g. 'kill:1@0/3;degrade:2-5:4@0.5-inf;drop:0/2:2;delay:1/4:0.25' (overrides -chaos-seed)")
+		chaosPlan = fs.String("chaos-plan", "", "explicit fault plan DSL, e.g. 'kill:1@0/3;degrade:2-5:4@0.5-inf;drop:0/2:2;delay:1/4:0.25' (overrides -chaos-seed); with -jobs, the plan of the -jobs run, e.g. 'killjob:job1@2' (no worker kills)")
 
 		jobs          = fs.Int("jobs", 0, "run this many concurrent pipelines as tenants of one shared platform and print per-tenant fingerprints and fairness")
 		tenantWeights = fs.String("tenant-weights", "", "comma-separated fair-share weights for -jobs, cycled over the jobs (e.g. '1,2,8'; default all 1)")
 		jobsMax       = fs.Int("jobs-max-concurrent", 0, "admission cap for -jobs: at most this many jobs run at once (0 = unlimited)")
-		jobsPlan      = fs.String("jobs-plan", "", "fault plan DSL for the -jobs run, e.g. 'killjob:job1@2' (worker kills not supported here)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -102,8 +101,8 @@ func run(args []string, stdout io.Writer) error {
 	if *jobs < 0 {
 		return fmt.Errorf("%w: -jobs %d is negative", errUsage, *jobs)
 	}
-	if *jobs > 0 && (*chaosSeed != 0 || *chaosPlan != "") {
-		return fmt.Errorf("%w: -chaos-seed and -chaos-plan run the single-job scenario, not -jobs; give the -jobs run its plan with -jobs-plan", errUsage)
+	if *jobs > 0 && *chaosSeed != 0 {
+		return fmt.Errorf("%w: -chaos-seed draws worker kills, which a -jobs run refuses; give the -jobs run a plan with -chaos-plan", errUsage)
 	}
 	opts.Parallel = *parallel
 	if !*all && *fig == "" && !*headline && *ablation == "" && *chaosSeed == 0 && *chaosPlan == "" &&
@@ -144,7 +143,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *jobs > 0 {
-		if err := runMultiJob(stdout, opts, *jobs, *tenantWeights, *jobsMax, *jobsPlan, *workMem<<20, *quick); err != nil {
+		if err := runTenants(stdout, opts, *jobs, *tenantWeights, *jobsMax, *chaosPlan, *workMem<<20, *quick); err != nil {
 			return err
 		}
 	}
@@ -169,7 +168,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if *chaosSeed != 0 || *chaosPlan != "" {
+	if *jobs == 0 && (*chaosSeed != 0 || *chaosPlan != "") {
 		cfg := harness.ChaosScenarioConfig(opts, *ranks, *workers)
 		cfg.WorkerMemoryLimit = *workMem << 20
 		var plan *chaos.Plan
@@ -319,11 +318,12 @@ func parseSystem(s string) (harness.System, error) {
 	return 0, fmt.Errorf("unknown system %q (want posthoc-old|posthoc-new|deisa1|deisa2|deisa3)", s)
 }
 
-// runMultiJob runs n concurrent tenant pipelines on one shared
-// platform and prints the per-tenant outcome table: fingerprints are
-// reproducible for a fixed seed regardless of the admission
-// interleaving, so two invocations must print identical digests.
-func runMultiJob(stdout io.Writer, opts harness.Options, n int, weightsCSV string, maxConcurrent int,
+// runTenants runs n concurrent tenant pipelines on one shared platform
+// under the plan planDSL ("" = fault-free) and prints the per-tenant
+// outcome table: fingerprints are reproducible for a fixed seed
+// regardless of the admission interleaving, so two invocations must
+// print identical digests.
+func runTenants(stdout io.Writer, opts harness.Options, n int, weightsCSV string, maxConcurrent int,
 	planDSL string, workerMem int64, quick bool) error {
 	start := time.Now()
 	var weights []float64
@@ -354,8 +354,8 @@ func runMultiJob(stdout io.Writer, opts harness.Options, n int, weightsCSV strin
 			BlockBytes: opts.BlockBytes,
 		}
 	}
-	cfg := harness.MultiJobConfig{
-		Jobs:              specs,
+	cfg := harness.Config{
+		System:            harness.DEISA3,
 		Workers:           2 * ranks,
 		Seed:              7,
 		Model:             opts.Model,
@@ -370,10 +370,10 @@ func runMultiJob(stdout io.Writer, opts harness.Options, n int, weightsCSV strin
 		}
 		cfg.ChaosPlan = plan
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(specs...); err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	res, err := harness.RunMultiJob(cfg)
+	res, err := harness.Run(cfg, specs...)
 	if err != nil {
 		return err
 	}

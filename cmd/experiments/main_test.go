@@ -67,7 +67,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"negative jobs":                {"-quick", "-jobs", "-1"},
 		"negative jobs cap":            {"-quick", "-jobs", "2", "-jobs-max-concurrent", "-2"},
 		"non-finite weight":            {"-quick", "-jobs", "2", "-tenant-weights", "1,NaN"},
-		"jobs with chaos plan":         {"-quick", "-jobs", "3", "-chaos-plan", "killjob:job1@2;delay:0/1:0.1"},
+		"jobs with worker kill plan":   {"-quick", "-jobs", "3", "-chaos-plan", "killjob:job1@2;kill:0@0/1"},
 		"jobs with chaos seed":         {"-quick", "-jobs", "2", "-chaos-seed", "7"},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -79,6 +79,29 @@ func TestRunRejectsBadInput(t *testing.T) {
 				t.Fatalf("%v ran before rejecting its input:\n%s", args, out.String())
 			}
 		})
+	}
+}
+
+// TestJobsChaosPlan: with -jobs, -chaos-plan is the plan of the -jobs
+// run. Its killjob cancels the named tenant, and the single-job chaos
+// scenario does not run.
+func TestJobsChaosPlan(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-quick", "-jobs", "3", "-chaos-plan", "killjob:job1@2"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"job1          1      2      4      4        4      @2",
+		"fingerprint", "ccef4c4aa5bfea58",
+		"fault: killjob tenant job1 from step 2 (event 0)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("output lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "chaos scenario") {
+		t.Fatalf("the single-job chaos scenario ran too:\n%s", got)
 	}
 }
 

@@ -258,27 +258,28 @@ func withDeadline(t *testing.T, d time.Duration, what string, f func() error) er
 
 // TestDropPlanWithinRetryBudget: a drop clause that loses as many
 // publish attempts as the bridges' retry budget allows would abandon the
-// block, and the ranks and analytics would wait on it forever. Both
-// drivers reject such a plan up front, naming the event; one attempt
-// less still runs to completion.
+// block, and the ranks and analytics would wait on it forever. Run
+// rejects such a plan up front, with or without jobs, naming the event;
+// one attempt less still runs to completion.
 func TestDropPlanWithinRetryBudget(t *testing.T) {
 	budget := core.DefaultRetryPolicy().MaxAttempts
 	over := fmt.Sprintf("drop:0/1:%d", budget)
 	under := fmt.Sprintf("drop:0/1:%d", budget-1)
 	cfg := Config{System: DEISA3, Ranks: 2, Workers: 2, Timesteps: 3, BlockBytes: 1 << 20, Seed: 7}
-	mj := MultiJobConfig{Jobs: mjJobs(1), Workers: 2, Seed: 7}
 	for _, dsl := range []string{over, under} {
 		plan, err := chaos.ParsePlan(dsl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.ChaosPlan, mj.ChaosPlan = plan, plan
+		cfg.ChaosPlan = plan
+		mj := mjConfig
+		mj.ChaosPlan = plan
 		for _, run := range []struct {
 			name string
 			f    func() error
 		}{
 			{"Run", func() error { _, err := Run(cfg); return err }},
-			{"RunMultiJob", func() error { _, err := RunMultiJob(mj); return err }},
+			{"Run with jobs", func() error { _, err := Run(mj, mjJobs(1)...); return err }},
 		} {
 			err := withDeadline(t, time.Minute, run.name+" under "+dsl, run.f)
 			if dsl == under {

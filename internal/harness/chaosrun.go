@@ -73,13 +73,13 @@ type ChaosReport struct {
 }
 
 // checkPlan rejects a plan (nil passes) that no run of the named jobs
-// survives or honours, before anything is built. The one job of a
-// single-job run has no name, so jobs is empty there.
+// survives or honours, before anything is built. The one job of a run
+// without jobs has no name, so jobs is empty there.
 //   - A drop clause losing as many publish attempts as the bridges' retry
 //     budget allows makes the publish give up, and the ranks and the
 //     analytics would then wait forever on the lost block.
 //   - A killjob must name a job of the run, at one of its steps.
-//   - Worker kills need a single-job run: on a shared platform their
+//   - Worker kills need a run without jobs: on a shared platform their
 //     republish barrier would have to span jobs whose admission windows
 //     never overlap.
 func checkPlan(plan *chaos.Plan, jobs []JobSpec) error {
@@ -96,7 +96,7 @@ func checkPlan(plan *chaos.Plan, jobs []JobSpec) error {
 			}
 		case chaos.KindKillWorker:
 			if len(jobs) > 0 {
-				return fmt.Errorf("harness: multi-job runs do not support worker kills (event %d)", i)
+				return fmt.Errorf("harness: runs with jobs do not support worker kills (event %d)", i)
 			}
 		case chaos.KindKillJob:
 			j := slices.IndexFunc(jobs, func(j JobSpec) bool { return j.Name == ev.Tenant })

@@ -76,9 +76,9 @@ func Example_multitenant() {
 		{Name: "fusion", Weight: 2, Ranks: 2, Timesteps: 4, BlockBytes: 1 << 20},
 		{Name: "urgent", Weight: 8, Ranks: 1, Timesteps: 3, BlockBytes: 1 << 20},
 	}
-	run := func(label string, cfg harness.MultiJobConfig) *harness.MultiJobResult {
-		cfg.Jobs, cfg.Workers, cfg.Seed = jobs, 3, 7
-		res, err := harness.RunMultiJob(cfg)
+	run := func(label string, cfg harness.Config) *harness.Result {
+		cfg.System, cfg.Workers, cfg.Seed = harness.DEISA3, 3, 7
+		res, err := harness.Run(cfg, jobs...)
 		if err != nil {
 			panic(err)
 		}
@@ -96,9 +96,9 @@ func Example_multitenant() {
 	if err != nil {
 		panic(err)
 	}
-	interleaved := run("interleaved", harness.MultiJobConfig{})
-	serial := run("serial (admission MaxConcurrent=1)", harness.MultiJobConfig{MaxConcurrent: 1})
-	killed := run("killjob:fusion@2", harness.MultiJobConfig{ChaosPlan: plan})
+	interleaved := run("interleaved", harness.Config{})
+	serial := run("serial (admission MaxConcurrent=1)", harness.Config{MaxConcurrent: 1})
+	killed := run("killjob:fusion@2", harness.Config{ChaosPlan: plan})
 
 	same, survivors := true, true
 	for _, j := range interleaved.Jobs {

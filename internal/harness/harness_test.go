@@ -27,7 +27,7 @@ func smallConfig(sys System) Config {
 // incremental PCA in the same order as the distributed drivers.
 func referenceComponents(t *testing.T, cfg Config) *ml.IncrementalPCA {
 	t.Helper()
-	cfg.defaults()
+	cfg.defaults(nil)
 	heatCfg := sim.Config{
 		GlobalX: cfg.RealLocalX,
 		GlobalY: cfg.RealLocalY * cfg.Ranks,
@@ -189,7 +189,7 @@ func TestSystemStringAndPredicates(t *testing.T) {
 
 // TestRunLeavesNoGoroutines: every goroutine a run starts (workers,
 // ranks, bridges, analytics, tenant drivers) has exited by the time Run
-// or RunMultiJob returns, give or take a short settling deadline.
+// returns, with or without jobs, give or take a short settling deadline.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	start := runtime.NumGoroutine()
 	settled := func(what string) {
@@ -209,8 +209,8 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		}
 		settled(sys.String())
 	}
-	if _, err := RunMultiJob(mjConfig(2)); err != nil {
+	if _, err := Run(mjConfig, mjJobs(2)...); err != nil {
 		t.Fatal(err)
 	}
-	settled("2-tenant RunMultiJob")
+	settled("2-tenant Run")
 }

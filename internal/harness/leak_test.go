@@ -22,7 +22,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("%s: %v", sys, err)
 		}
 	}
-	if _, err := RunMultiJob(mjConfig(2)); err != nil {
+	if _, err := Run(mjConfig, mjJobs(2)...); err != nil {
 		t.Fatal(err)
 	}
 	cfg := ChaosScenarioConfig(QuickOptions(), 4, 4)

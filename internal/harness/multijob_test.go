@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"reflect"
 	"slices"
 	"strings"
@@ -9,7 +8,6 @@ import (
 
 	"deisago/internal/chaos"
 	"deisago/internal/metrics"
-	"deisago/internal/multijob"
 )
 
 // mjJobs builds a small mixed workload: n jobs of 2 ranks × 3 steps.
@@ -27,16 +25,11 @@ func mjJobs(n int) []JobSpec {
 	return out
 }
 
-func mjConfig(n int) MultiJobConfig {
-	return MultiJobConfig{
-		Jobs:    mjJobs(n),
-		Workers: 2,
-		Seed:    7,
-	}
-}
+// mjConfig is the platform mjJobs run on.
+var mjConfig = Config{System: DEISA3, Workers: 2, Seed: 7}
 
 func TestMultiJobSmoke(t *testing.T) {
-	res, err := RunMultiJob(mjConfig(2))
+	res, err := Run(mjConfig, mjJobs(2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +67,11 @@ func TestMultiJobSmoke(t *testing.T) {
 // concurrent admission — the namespaced pipelines are dataflow
 // independent, so interleaving cannot leak between tenants.
 func TestMultiJobDeterminism(t *testing.T) {
-	base := mjConfig(3)
-	serial := base
+	serial := mjConfig
 	serial.MaxConcurrent = 1
 	fps := map[string][]string{}
-	for _, cfg := range []MultiJobConfig{base, base, serial} {
-		res, err := RunMultiJob(cfg)
+	for _, cfg := range []Config{mjConfig, mjConfig, serial} {
+		res, err := Run(cfg, mjJobs(3)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +89,7 @@ func TestMultiJobDeterminism(t *testing.T) {
 // TestMultiJobKilljobSurvivorsBitIdentical: cancelling one tenant must
 // not perturb any other tenant's outputs.
 func TestMultiJobKilljobSurvivorsBitIdentical(t *testing.T) {
-	clean, err := RunMultiJob(mjConfig(3))
+	clean, err := Run(mjConfig, mjJobs(3)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +97,9 @@ func TestMultiJobKilljobSurvivorsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mjConfig(3)
+	cfg := mjConfig
 	cfg.ChaosPlan = plan
-	chaotic, err := RunMultiJob(cfg)
+	chaotic, err := Run(cfg, mjJobs(3)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +132,9 @@ func TestMultiJobKilljobAtStepZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mjConfig(2)
+	cfg := mjConfig
 	cfg.ChaosPlan = plan
-	res, err := RunMultiJob(cfg)
+	res, err := Run(cfg, mjJobs(2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +150,9 @@ func TestMultiJobKilljobAtStepZero(t *testing.T) {
 	}
 }
 
-// TestOneTenantMatchesRun: a single tenant on the multi-job platform is
-// the single-job DEISA3 pipeline — the same analytics values, the same
-// blocks shipped and the same tasks registered.
+// TestOneTenantMatchesRun: one named job, Run(cfg, job), is the
+// DEISA3 pipeline of Run(cfg) at the job's size — the same analytics
+// values, the same blocks shipped and the same tasks registered.
 func TestOneTenantMatchesRun(t *testing.T) {
 	single, err := Run(Config{
 		System: DEISA3, Ranks: 2, Workers: 2,
@@ -169,14 +161,14 @@ func TestOneTenantMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMultiJob(mjConfig(1))
+	multi, err := Run(mjConfig, mjJobs(1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tenant := multi.Jobs[0]
 	if !reflect.DeepEqual(single.Components.Data(), tenant.Components.Data()) ||
 		!reflect.DeepEqual(single.Components.Shape(), tenant.Components.Shape()) {
-		t.Fatal("components differ between Run and a one-tenant RunMultiJob")
+		t.Fatal("components differ between Run(cfg) and Run(cfg, job)")
 	}
 	if !reflect.DeepEqual(single.SingularValues, tenant.SingularValues) {
 		t.Fatalf("singular values %v vs %v", single.SingularValues, tenant.SingularValues)
@@ -193,73 +185,81 @@ func TestOneTenantMatchesRun(t *testing.T) {
 	}
 }
 
-func TestMultiJobAdmissionReject(t *testing.T) {
-	cfg := mjConfig(2)
-	cfg.TenantBudget = 1 // every job estimate exceeds this
-	if _, err := RunMultiJob(cfg); !errors.Is(err, multijob.ErrOverBudget) {
-		t.Fatalf("err = %v, want ErrOverBudget", err)
+// TestMultiJobValidation: Run refuses, before building anything, jobs
+// it cannot run as asked.
+func TestMultiJobValidation(t *testing.T) {
+	killjob := func(dsl string) func(*Config, []JobSpec) {
+		return func(c *Config, _ []JobSpec) {
+			plan, err := chaos.ParsePlan(dsl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.ChaosPlan = plan
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+		edit func(*Config, []JobSpec)
+		want string
+	}{
+		{"duplicate job names", 2, func(_ *Config, j []JobSpec) { j[1].Name = j[0].Name }, "duplicate"},
+		{"slash in a job name", 1, func(_ *Config, j []JobSpec) { j[0].Name = "a/b" }, "/"},
+		// "default" names the scheduler's catch-all tenant.
+		{"job named default", 1, func(_ *Config, j []JobSpec) { j[0].Name = "default" }, "default"},
+		{"zero-rank job", 1, func(_ *Config, j []JobSpec) { j[0].Ranks = 0 }, "positive"},
+		{"negative admission cap", 2, func(c *Config, _ []JobSpec) { c.MaxConcurrent = -2 }, "negative"},
+		{"zero workers", 1, func(c *Config, _ []JobSpec) { c.Workers = 0 }, "workers"},
+		// Each job carries its own size; a top-level one would be ignored.
+		{"top-level ranks", 1, func(c *Config, _ []JobSpec) { c.Ranks = 2 }, "must be zero"},
+		{"top-level timesteps", 1, func(c *Config, _ []JobSpec) { c.Timesteps = 3 }, "must be zero"},
+		{"top-level block size", 1, func(c *Config, _ []JobSpec) { c.BlockBytes = MiB }, "must be zero"},
+		{"jobs on DEISA1", 1, func(c *Config, _ []JobSpec) { c.System = DEISA1 }, "DEISA3"},
+		{"jobs post hoc", 1, func(c *Config, _ []JobSpec) { c.System = PostHocNewIPCA }, "DEISA3"},
+		{"killjob of an unknown tenant", 1, killjob("killjob:ghost@1"), "unknown tenant"},
+		{"killjob after the last step", 2, killjob("killjob:bjob@3"), "past job"}, // bjob has steps 0..2
+		{"worker kill", 1, killjob("kill:0@0/1"), "worker kills"},
+	} {
+		cfg, jobs := mjConfig, mjJobs(c.n)
+		c.edit(&cfg, jobs)
+		if err := cfg.Validate(jobs...); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate err = %v, want one naming %q", c.name, err, c.want)
+		}
+		if _, err := Run(cfg, jobs...); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Run err = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	// A negative cap is refused without jobs too.
+	cfg := smallConfig(DEISA3)
+	cfg.MaxConcurrent = -1
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Errorf("negative cap without jobs: err = %v", err)
 	}
 }
 
-func TestMultiJobValidation(t *testing.T) {
-	dup := mjConfig(2)
-	dup.Jobs[1].Name = dup.Jobs[0].Name
-	if _, err := RunMultiJob(dup); err == nil {
-		t.Fatal("duplicate job names accepted")
+// TestMultiJobTraceStaysRunWide: the platform's trace is the run's. With
+// two jobs under EnableTrace, no job's Result carries one, and the run's
+// holds spans of both tenants' namespaces.
+func TestMultiJobTraceStaysRunWide(t *testing.T) {
+	cfg := mjConfig
+	cfg.EnableTrace = true
+	res, err := Run(cfg, mjJobs(2)...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	slash := mjConfig(1)
-	slash.Jobs[0].Name = "a/b"
-	if _, err := RunMultiJob(slash); err == nil {
-		t.Fatal("slash in job name accepted")
-	}
-	// "default" names the scheduler's catch-all tenant: validation must
-	// refuse it before any platform is built.
-	reserved := mjConfig(1)
-	reserved.Jobs[0].Name = "default"
-	if err := reserved.Validate(); err == nil {
-		t.Fatal(`job named "default" passed validation`)
-	}
-	// Negative admission limits are refused, not handed to the plane.
-	for _, neg := range []func(*MultiJobConfig){
-		func(c *MultiJobConfig) { c.MaxConcurrent = -2 },
-		func(c *MultiJobConfig) { c.TenantBudget = -1 },
-		func(c *MultiJobConfig) { c.ClusterBudget = -1 },
-	} {
-		cfg := mjConfig(2)
-		neg(&cfg)
-		if _, err := RunMultiJob(cfg); err == nil || !strings.Contains(err.Error(), "negative") {
-			t.Fatalf("negative limit err = %v", err)
+	for _, j := range res.Jobs {
+		if j.Trace != nil || j.Metrics != nil || j.ChaosLog != nil || j.AuditLog != nil {
+			t.Fatalf("job %q carries run-wide fields: %d spans, metrics %v, %d faults, %d transitions",
+				j.Name, len(j.Trace), j.Metrics != nil, len(j.ChaosLog), len(j.AuditLog))
 		}
 	}
-	unknown := mjConfig(1)
-	plan, err := chaos.ParsePlan("killjob:ghost@1")
-	if err != nil {
-		t.Fatal(err)
+	spans := map[string]int{}
+	for _, ev := range res.Trace {
+		ns, _, _ := strings.Cut(string(ev.Key), "/")
+		spans[ns]++
 	}
-	unknown.ChaosPlan = plan
-	if _, err := RunMultiJob(unknown); err == nil ||
-		!strings.Contains(err.Error(), "unknown tenant") {
-		t.Fatalf("unknown killjob tenant err = %v", err)
-	}
-	late := mjConfig(2)
-	plan, err = chaos.ParsePlan("killjob:bjob@3") // bjob has steps 0..2
-	if err != nil {
-		t.Fatal(err)
-	}
-	late.ChaosPlan = plan
-	if _, err := RunMultiJob(late); err == nil ||
-		!strings.Contains(err.Error(), "past job") {
-		t.Fatalf("killjob after the last step err = %v", err)
-	}
-	kills := mjConfig(1)
-	plan, err = chaos.ParsePlan("kill:0@0/1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kills.ChaosPlan = plan
-	if _, err := RunMultiJob(kills); err == nil ||
-		!strings.Contains(err.Error(), "worker kills") {
-		t.Fatalf("worker-kill plan err = %v", err)
+	if spans["ajob"] == 0 || spans["bjob"] == 0 {
+		t.Fatalf("run trace spans by namespace = %v, want both ajob and bjob", spans)
 	}
 }
 
@@ -269,15 +269,10 @@ func TestMultiJobValidation(t *testing.T) {
 // pops interleave every contended drain; the sharp interleaving checks
 // live in the dask package's tenant tests).
 func TestMultiJobWeightedNoStarvation(t *testing.T) {
-	cfg := MultiJobConfig{
-		Jobs: []JobSpec{
-			{Name: "heavy", Weight: 8, Ranks: 2, Timesteps: 4, BlockBytes: 4 * MiB},
-			{Name: "light", Weight: 1, Ranks: 2, Timesteps: 4, BlockBytes: 4 * MiB},
-		},
-		Workers: 1, // single worker: every pop is contended
-		Seed:    11,
-	}
-	res, err := RunMultiJob(cfg)
+	res, err := Run(Config{System: DEISA3, Workers: 1, Seed: 11}, // single worker: every pop is contended
+		JobSpec{Name: "heavy", Weight: 8, Ranks: 2, Timesteps: 4, BlockBytes: 4 * MiB},
+		JobSpec{Name: "light", Weight: 1, Ranks: 2, Timesteps: 4, BlockBytes: 4 * MiB},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,18 +288,18 @@ func TestMultiJobWeightedNoStarvation(t *testing.T) {
 
 // TestMultiJobMixedSizes: jobs of different shapes coexist.
 func TestMultiJobMixedSizes(t *testing.T) {
-	cfg := MultiJobConfig{
-		Jobs: []JobSpec{
-			{Name: "wide", Weight: 2, Ranks: 4, Timesteps: 2, BlockBytes: 2 * MiB},
-			{Name: "long", Weight: 1, Ranks: 1, Timesteps: 6, BlockBytes: 1 * MiB},
-		},
+	cfg := Config{
+		System:            DEISA3,
 		Workers:           2,
 		Seed:              3,
 		WorkerMemoryLimit: 64 * MiB,
 		MaxConcurrent:     2,
 		EnableAudit:       true,
 	}
-	res, err := RunMultiJob(cfg)
+	res, err := Run(cfg,
+		JobSpec{Name: "wide", Weight: 2, Ranks: 4, Timesteps: 2, BlockBytes: 2 * MiB},
+		JobSpec{Name: "long", Weight: 1, Ranks: 1, Timesteps: 6, BlockBytes: 1 * MiB},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"deisago/internal/chaos"
@@ -28,7 +29,9 @@ import (
 // ArrayName is the deisa virtual array published by the Heat2D workflow.
 const ArrayName = "G_temp"
 
-// Config describes one experiment run.
+// Config describes one experiment run. Ranks, Timesteps and BlockBytes
+// size the one job of a run without jobs; a Run with jobs sizes each job
+// in its JobSpec and leaves them zero.
 type Config struct {
 	System    System
 	Ranks     int
@@ -72,7 +75,10 @@ type Config struct {
 	// are republished once the simulation loop finishes. External-mode
 	// (DEISA2/3) in-transit systems only: Run rejects a plan on any
 	// other system, and a killjob clause, which its one unnamed job
-	// cannot honour.
+	// cannot honour. In a Run with jobs, killjob clauses cancel the named
+	// tenant's analytics from the given step and worker kills are
+	// refused: their republish barrier would have to span jobs whose
+	// admission windows never overlap.
 	ChaosPlan *chaos.Plan
 	// TieBreak, when non-nil, redirects every benign scheduling tie in
 	// the cluster and the bridges — ready-pop order, worker choice,
@@ -80,29 +86,52 @@ type Config struct {
 	// (package simtest) can permute legal schedules. nil keeps the
 	// production rules.
 	TieBreak dask.TieBreaker
+	// MaxConcurrent caps how many of a Run's jobs run at once (package
+	// multijob); 0 runs them all at once. The cap acts in host time
+	// only: a queued job's clocks still start at virtual time 0.
+	MaxConcurrent int
 	// EnableAudit switches the scheduler invariant auditor on even for
 	// fault-free runs (ChaosPlan enables it regardless) and exposes the
 	// transition log on the Result for offline replay.
 	EnableAudit bool
 }
 
-func (c *Config) defaults() {
+// defaults fills c's zero fields and returns jobs with their zero
+// weights and timesteps filled, in a copy. Without jobs, c's own
+// Timesteps defaults instead.
+func (c *Config) defaults(jobs []JobSpec) []JobSpec {
 	if c.RealLocalX == 0 {
 		c.RealLocalX = 16
 	}
 	if c.RealLocalY == 0 {
 		c.RealLocalY = 8
 	}
-	if c.Timesteps == 0 {
-		c.Timesteps = 10
-	}
 	if c.Model.CoresPerNode == 0 {
 		c.Model = DefaultModel()
 	}
+	if len(jobs) == 0 {
+		if c.Timesteps == 0 {
+			c.Timesteps = 10
+		}
+		return nil
+	}
+	jobs = slices.Clone(jobs)
+	for i := range jobs {
+		if jobs[i].Weight == 0 {
+			jobs[i].Weight = 1
+		}
+		if jobs[i].Timesteps == 0 {
+			jobs[i].Timesteps = 10
+		}
+	}
+	return jobs
 }
 
-// Result holds every measurement of one run, or of one job of a
-// multi-job run (MultiJobResult.Jobs).
+// Result holds every measurement of one run. A Run with jobs reports
+// each job in Jobs and keeps only the run-wide fields (Makespan, Jain,
+// Admission, Metrics, Trace, ChaosLog, the audit log) at the top level;
+// a run without jobs reports its one job at the top level, with the
+// run-wide fields beside it.
 type Result struct {
 	Config Config
 	// Name is the job's tenant namespace ("" for the one job of Run, on
@@ -135,23 +164,38 @@ type Result struct {
 	// dask/* message totals behind §2.1's count argument. The counter
 	// subset is deterministic for a fixed Config (see metrics package
 	// doc); gauge/histogram values carry virtual timestamps and may
-	// vary across runs of the same seed. A job of a multi-job run leaves
-	// Metrics, ChaosLog and the audit log to its MultiJobResult, which
-	// holds them for the whole shared platform.
+	// vary across runs of the same seed. Run-wide: nil on Jobs' entries.
 	Metrics *metrics.Snapshot
-	// Trace holds task-execution spans when Config.EnableTrace is set.
+	// Trace holds task-execution spans when Config.EnableTrace is set,
+	// of every job on the platform. Run-wide: nil on Jobs' entries.
 	Trace []dask.TraceEvent
 	// ChaosLog lists the faults executed when Config.ChaosPlan is set;
 	// it is a pure function of the plan and scenario (no timing), so the
-	// same seed yields an identical log on every run.
+	// same seed yields an identical log on every run. Run-wide.
 	ChaosLog []chaos.LogEntry
 	// BlocksSent/BlocksSkipped aggregate bridge-side contract filtering.
 	BlocksSent, BlocksSkipped int64
 	// AuditLog is the scheduler's transition log when the invariant
-	// auditor ran (Config.EnableAudit or ChaosPlan); AuditTruncated
-	// counts older entries the bounded log discarded.
+	// auditor ran (Config.EnableAudit or ChaosPlan): the interleaved
+	// transitions of every job, for offline reference-model replay.
+	// AuditTruncated counts older entries the bounded log discarded.
+	// Run-wide.
 	AuditLog       []dask.Transition
 	AuditTruncated int64
+
+	// Jobs holds one Result per job of a Run with jobs, in JobSpec order
+	// (nil without jobs).
+	Jobs []Result
+	// Makespan is the run's virtual end: the latest simulation or
+	// analytics end of any job. Run-wide.
+	Makespan float64
+	// Jain is Jain's fairness index over weight-normalized service: the
+	// final value of the scheduler/fairness_jain gauge (0 without
+	// tenants). Per-tenant service (scheduler/tenant_pops,
+	// scheduler/tenant_share) is in Metrics. Run-wide.
+	Jain float64
+	// Admission is the admission plane's accounting. Run-wide.
+	Admission multijob.Stats
 
 	// Real analytics outputs, for cross-system correctness checks.
 	Components        *ndarray.Array
@@ -240,24 +284,84 @@ func (r *Result) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Run executes one configuration end to end. An in-transit system runs
-// as the one job of its own platform (see runJobs).
-func Run(cfg Config) (*Result, error) {
-	cfg.defaults()
-	if cfg.Ranks <= 0 || cfg.Workers <= 0 || cfg.Timesteps <= 0 || cfg.BlockBytes <= 0 {
-		return nil, fmt.Errorf("harness: ranks, workers, timesteps and block size must be positive")
+// Job returns the named job's result, or nil.
+func (r *Result) Job(name string) *Result {
+	for i := range r.Jobs {
+		if r.Jobs[i].Name == name {
+			return &r.Jobs[i]
+		}
+	}
+	return nil
+}
+
+// Run executes one configuration end to end. Without jobs it runs one
+// unnamed job of cfg's Ranks, Timesteps and BlockBytes on any system; an
+// in-transit system runs it as the one job of its own platform (see
+// runJobs). With jobs it runs them as tenants of one DEISA3 platform and
+// reports each in Result.Jobs.
+func Run(cfg Config, jobs ...JobSpec) (*Result, error) {
+	jobs, err := prepare(&cfg, jobs)
+	if err != nil {
+		return nil, err
+	}
+	if !cfg.System.InTransit() {
+		return runPostHoc(cfg)
+	}
+	if len(jobs) == 0 {
+		jobs = []JobSpec{{Ranks: cfg.Ranks, Timesteps: cfg.Timesteps, BlockBytes: cfg.BlockBytes}}
+	}
+	return runJobs(cfg, jobs)
+}
+
+// Validate reports why Run would refuse cfg and jobs, before anything is
+// built.
+func (c Config) Validate(jobs ...JobSpec) error {
+	_, err := prepare(&c, jobs)
+	return err
+}
+
+// prepare fills cfg's and the jobs' zero fields (see defaults) and
+// reports why Run would refuse them.
+func prepare(cfg *Config, jobs []JobSpec) ([]JobSpec, error) {
+	if len(jobs) > 0 && (cfg.Ranks != 0 || cfg.Timesteps != 0 || cfg.BlockBytes != 0) {
+		return nil, fmt.Errorf("harness: a run with jobs sizes each job in its JobSpec; ranks, timesteps and block size must be zero (got %d, %d, %d)",
+			cfg.Ranks, cfg.Timesteps, cfg.BlockBytes)
+	}
+	jobs = cfg.defaults(jobs)
+	if cfg.Workers <= 0 {
+		return nil, fmt.Errorf("harness: workers must be positive")
+	}
+	if cfg.MaxConcurrent < 0 {
+		return nil, fmt.Errorf("harness: admission cap must not be negative (max concurrent %d)", cfg.MaxConcurrent)
 	}
 	if cfg.ChaosPlan != nil && cfg.System < DEISA2 {
 		return nil, fmt.Errorf("harness: chaos injection needs an external-mode system (DEISA2 or DEISA3), got %s", cfg.System)
 	}
-	// The one job of Run has no name, so no killjob can target it.
-	if err := checkPlan(cfg.ChaosPlan, nil); err != nil {
-		return nil, err
+	if len(jobs) == 0 {
+		if cfg.Ranks <= 0 || cfg.Timesteps <= 0 || cfg.BlockBytes <= 0 {
+			return nil, fmt.Errorf("harness: ranks, timesteps and block size must be positive")
+		}
+		// The one job of a run without jobs has no name, so no killjob
+		// can target it.
+		return nil, checkPlan(cfg.ChaosPlan, nil)
 	}
-	if cfg.System.InTransit() {
-		return runInTransit(cfg)
+	if cfg.System != DEISA3 {
+		return nil, fmt.Errorf("harness: a run with jobs runs on DEISA3, got %s", cfg.System)
 	}
-	return runPostHoc(cfg)
+	seen := map[string]bool{}
+	for _, j := range jobs {
+		if err := dask.ValidateTenant(j.Name, j.Weight); err != nil {
+			return nil, err
+		}
+		if seen[j.Name] {
+			return nil, fmt.Errorf("harness: duplicate job name %q", j.Name)
+		}
+		seen[j.Name] = true
+		if j.Ranks <= 0 || j.Timesteps <= 0 || j.BlockBytes <= 0 {
+			return nil, fmt.Errorf("harness: job %q needs positive ranks, timesteps and block size", j.Name)
+		}
+	}
+	return jobs, checkPlan(cfg.ChaosPlan, jobs)
 }
 
 // platform is one run's deployment: the allocated machine, the placement
@@ -384,20 +488,6 @@ func (e *env) aggregate(stepDur, commDur [][]float64, simEnds []float64, a analy
 	res.CommMean, res.CommStd = cst.Mean, cst.Std
 	res.SimMakespan = vtime.MaxTime(simEnds...)
 	return res
-}
-
-// runInTransit executes DEISA1/2/3 as the one job of its own platform:
-// unnamed, so on the default tenant, with unlimited admission.
-func runInTransit(cfg Config) (*Result, error) {
-	job := JobSpec{Ranks: cfg.Ranks, Timesteps: cfg.Timesteps, BlockBytes: cfg.BlockBytes}
-	out, err := runJobs(cfg, multijob.Limits{}, []JobSpec{job})
-	if err != nil {
-		return nil, err
-	}
-	res := &out.Jobs[0]
-	res.Metrics, res.ChaosLog = out.Metrics, out.ChaosLog
-	res.AuditLog, res.AuditTruncated = out.AuditLog, out.AuditTruncated
-	return res, nil
 }
 
 // runJob drives one in-transit job on a deployed cluster: its MPI world
@@ -632,10 +722,10 @@ func runPostHoc(cfg Config) (*Result, error) {
 	if dc.AuditEnabled() {
 		res.AuditLog, res.AuditTruncated = dc.AuditLog(), dc.AuditTruncated()
 	}
-	end := vtime.MaxTime(res.SimMakespan, simEnd+res.AnalyticsTime)
-	dc.RecordUtilization(end)
-	p.machine.Fabric().RecordUtilization(end)
-	fs.RecordUtilization(end)
+	res.Makespan = vtime.MaxTime(res.SimMakespan, simEnd+res.AnalyticsTime)
+	dc.RecordUtilization(res.Makespan)
+	p.machine.Fabric().RecordUtilization(res.Makespan)
+	fs.RecordUtilization(res.Makespan)
 	res.Metrics = p.reg.Snapshot()
 	return res, nil
 }

@@ -1,108 +1,72 @@
-// Package multijob is the control plane that admits N concurrent
-// client pipelines onto one shared deisa platform (cluster, fabric,
-// PFS). Limits + Plane form an admission queue with configurable
-// concurrency and managed-memory budgets. Jobs whose declared estimate
-// can never fit are rejected immediately (ErrOverBudget); everything
-// else queues FIFO and starts only when both the concurrency slot and
-// the budget headroom exist — backpressure instead of overcommit,
-// layered on the per-worker governance ledgers that bound what admitted
-// jobs can actually hold resident. A job's tenant identity and
+// Package multijob is the admission plane of a run with jobs
+// (harness.Run(cfg, jobs...)): N client pipelines share one deisa
+// platform (cluster, fabric, PFS), and a Plane caps how many of them run
+// at once. Waiters are served FIFO with no overtaking, so a job queued
+// early is never starved by late arrivals. A job's tenant identity and
 // fair-share weight live on the scheduler (dask.Cluster.RegisterTenant).
 //
-// The plane is deliberately cluster-agnostic: it hands out admission
-// tickets, the harness driver (harness.RunMultiJob) runs the admitted
-// pipeline. Admission order is FIFO with no overtaking, so a large job
-// queued behind small ones is never starved by late arrivals.
+// Admission acts in host time only. A cap serialises the host execution
+// of the jobs and nothing else: a queued job's clocks still start at
+// virtual time 0 when it is admitted, so a capped run does not take
+// longer in virtual time than an uncapped one. Tickets go out in the
+// order the jobs' goroutines arrive, and MaxQueue counts host waiters.
+//
+// The plane is cluster-agnostic: it hands out admission tickets, and the
+// harness driver runs the admitted pipeline.
 package multijob
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
 
-// Limits bounds what the admission plane lets run at once. Zero values
-// mean "unlimited" for each knob independently.
-type Limits struct {
-	// MaxConcurrent caps how many jobs run simultaneously.
-	MaxConcurrent int
-	// TenantBudget caps one job's declared managed-memory estimate; a
-	// job declaring more is rejected outright (it could never fit).
-	TenantBudget int64
-	// ClusterBudget caps the sum of running jobs' estimates; a job
-	// within its tenant budget but over the remaining headroom queues
-	// until enough running jobs release.
-	ClusterBudget int64
-}
-
-// ErrOverBudget reports a job whose declared estimate exceeds a budget
-// it could never fit under — queueing would wait forever, so admission
-// rejects immediately. Match with errors.Is.
-var ErrOverBudget = errors.New("multijob: job estimate exceeds admission budget")
-
-// Plane is the admission queue. Admit blocks callers FIFO until their
-// job fits; Release (the function Admit returns) frees the slot.
+// Plane is the admission queue. Admit blocks callers FIFO until a slot
+// is free; the function Admit returns frees the slot.
 type Plane struct {
-	lim Limits
+	maxConcurrent int // 0 = unlimited
 
 	mu   sync.Mutex
 	cond *sync.Cond
 	// FIFO tickets: a caller admits only when its ticket is the lowest
-	// waiting one and the limits allow it, so arrival order is service
-	// order and a big job cannot be starved by smaller late arrivals.
+	// waiting one and a slot is free, so arrival order is service order.
 	nextTicket  int64
 	serveTicket int64
 	running     int
-	inUse       int64 // sum of running jobs' estimates
 
 	admitted int64
-	rejected int64
 	maxQueue int // high-water mark of simultaneous waiters
 	waiting  int
 }
 
-// NewPlane builds an admission plane with the given limits.
-func NewPlane(lim Limits) *Plane {
-	if lim.MaxConcurrent < 0 || lim.TenantBudget < 0 || lim.ClusterBudget < 0 {
-		panic(fmt.Sprintf("multijob: negative limits %+v", lim))
+// NewPlane builds an admission plane that runs at most maxConcurrent
+// jobs at once; 0 means unlimited.
+func NewPlane(maxConcurrent int) *Plane {
+	if maxConcurrent < 0 {
+		panic(fmt.Sprintf("multijob: negative concurrency cap %d", maxConcurrent))
 	}
-	p := &Plane{lim: lim}
+	p := &Plane{maxConcurrent: maxConcurrent}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// Admit asks to run a job declaring the given managed-memory estimate
-// (bytes; 0 = negligible). It returns ErrOverBudget immediately when
-// the estimate exceeds the per-tenant or whole-cluster budget — no
-// amount of waiting could admit it. Otherwise it blocks until the job
-// is at the head of the FIFO queue and both the concurrency slot and
-// the budget headroom are free, then returns a release function the
-// caller must invoke exactly once when the job finishes (calling it
-// more than once is a no-op).
-func (p *Plane) Admit(name string, estimate int64) (release func(), err error) {
-	if estimate < 0 {
-		return nil, fmt.Errorf("multijob: job %q declares negative estimate %d", name, estimate)
-	}
+// Admit blocks until the caller is at the head of the FIFO queue and a
+// slot is free, then returns a release function the caller must invoke
+// when the job finishes (calling it more than once is a no-op).
+func (p *Plane) Admit() (release func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if (p.lim.TenantBudget > 0 && estimate > p.lim.TenantBudget) ||
-		(p.lim.ClusterBudget > 0 && estimate > p.lim.ClusterBudget) {
-		p.rejected++
-		return nil, fmt.Errorf("multijob: job %q estimate %d: %w", name, estimate, ErrOverBudget)
-	}
 	ticket := p.nextTicket
 	p.nextTicket++
 	p.waiting++
 	if p.waiting > p.maxQueue {
 		p.maxQueue = p.waiting
 	}
-	for !(ticket == p.serveTicket && p.fitsLocked(estimate)) {
+	for ticket != p.serveTicket || (p.maxConcurrent > 0 && p.running >= p.maxConcurrent) {
 		p.cond.Wait()
 	}
 	p.waiting--
 	p.serveTicket++
 	p.running++
-	p.inUse += estimate
 	p.admitted++
 	p.cond.Broadcast() // the next ticket may also fit
 	var once sync.Once
@@ -110,42 +74,23 @@ func (p *Plane) Admit(name string, estimate int64) (release func(), err error) {
 		once.Do(func() {
 			p.mu.Lock()
 			p.running--
-			p.inUse -= estimate
 			p.mu.Unlock()
 			p.cond.Broadcast()
 		})
-	}, nil
-}
-
-// fitsLocked reports whether a job with the given estimate fits the
-// limits right now. Caller holds p.mu.
-func (p *Plane) fitsLocked(estimate int64) bool {
-	if p.lim.MaxConcurrent > 0 && p.running >= p.lim.MaxConcurrent {
-		return false
 	}
-	if p.lim.ClusterBudget > 0 && p.inUse+estimate > p.lim.ClusterBudget {
-		return false
-	}
-	return true
 }
 
 // Stats is a snapshot of the plane's admission accounting.
 type Stats struct {
 	Admitted int64 // jobs admitted so far
-	Rejected int64 // jobs rejected over budget
 	Running  int   // jobs currently holding a slot
 	Waiting  int   // jobs currently queued
 	MaxQueue int   // high-water mark of simultaneous waiters
-	InUse    int64 // sum of running jobs' estimates
 }
 
 // Stats snapshots the plane.
 func (p *Plane) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return Stats{
-		Admitted: p.admitted, Rejected: p.rejected,
-		Running: p.running, Waiting: p.waiting,
-		MaxQueue: p.maxQueue, InUse: p.inUse,
-	}
+	return Stats{Admitted: p.admitted, Running: p.running, Waiting: p.waiting, MaxQueue: p.maxQueue}
 }

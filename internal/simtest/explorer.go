@@ -12,26 +12,38 @@ import (
 	"deisago/internal/harness"
 )
 
-// Schedule explorer: runs the Fig-2b pipeline (DEISA3) across K
-// schedules that differ only in how benign scheduling ties were broken,
-// and asserts the observable outcome — analytics bits, schedule-
-// invariant counters, executed fault log — is identical on every one.
-// Any divergence means a scheduling decision that was supposed to be
-// benign leaked into the results; any auditor panic or reference-model
+// Schedule explorer: runs the Fig-2b pipeline (DEISA3), or a mixed
+// workload of tenant pipelines sharing one platform, across K schedules
+// that differ only in how benign scheduling ties were broken, and
+// asserts the observable outcome — analytics bits, schedule-invariant
+// counters, executed fault log — is identical on every one. Any
+// divergence means a scheduling decision that was supposed to be benign
+// leaked into the results; any auditor panic or reference-model
 // rejection means a schedule reached a state the fault-free rules
-// forbid.
+// forbid. With tenants the shared scheduler interleaves their tasks
+// (weighted fair-share), and the interleaved transition log must replay
+// cleanly through the reference model, which sees every tenant's keys in
+// one stream.
 
 // Spec describes one pipeline run: the scenario shape, the fault plan,
 // and the schedule (seed or explicit override set). It is JSON-friendly
 // so a subprocess runner can ship it through the environment.
 type Spec struct {
+	// Ranks, Timesteps and BlockBytes size the one job of a spec
+	// without Jobs; they stay zero when Jobs is set.
 	Ranks      int   `json:"ranks"`
 	Workers    int   `json:"workers"`
 	Timesteps  int   `json:"timesteps"`
 	BlockBytes int64 `json:"block_bytes"`
+	// Jobs, when non-empty, runs these tenants on one shared platform
+	// (harness.Run(cfg, jobs...)).
+	Jobs []harness.JobSpec `json:"jobs,omitempty"`
+	// MaxConcurrent caps the admission of Jobs (0 = all at once).
+	MaxConcurrent int `json:"max_concurrent,omitempty"`
 	// MemLimit, when positive, turns on worker memory governance.
 	MemLimit int64 `json:"mem_limit,omitempty"`
-	// Plan is the chaos DSL ("" = fault-free run).
+	// Plan is the chaos DSL ("" = fault-free run). killjob clauses
+	// target Jobs by name; with Jobs the harness refuses worker kills.
 	Plan string `json:"plan,omitempty"`
 	// Seed picks the schedule via a SeededBreaker. Ignored when
 	// Overrides is non-empty.
@@ -54,7 +66,20 @@ func DefaultSpec() Spec {
 	return Spec{Ranks: 4, Workers: 3, Timesteps: 4, BlockBytes: 1 << 20}
 }
 
-// Config translates the spec to a harness configuration.
+// DefaultTenantsSpec is the explorer's standard mixed workload: two
+// tenants of different shapes and weights contending for three workers.
+func DefaultTenantsSpec() Spec {
+	return Spec{
+		Jobs: []harness.JobSpec{
+			{Name: "alpha", Weight: 2, Ranks: 2, Timesteps: 3, BlockBytes: 1 << 20},
+			{Name: "beta", Weight: 1, Ranks: 1, Timesteps: 4, BlockBytes: 1 << 20},
+		},
+		Workers: 3,
+	}
+}
+
+// Config translates the spec to a harness configuration; Run it with
+// the spec's Jobs.
 func (sp Spec) Config() (harness.Config, error) {
 	cfg := harness.Config{
 		System:            harness.DEISA3,
@@ -64,6 +89,7 @@ func (sp Spec) Config() (harness.Config, error) {
 		BlockBytes:        sp.BlockBytes,
 		Seed:              1,
 		WorkerMemoryLimit: sp.MemLimit,
+		MaxConcurrent:     sp.MaxConcurrent,
 		EnableAudit:       true,
 	}
 	if sp.Plan != "" {
@@ -103,11 +129,15 @@ func RunPipeline(sp Spec) (*Outcome, error) {
 		return nil, err
 	}
 	cfg.TieBreak = tb
-	res, err := harness.Run(cfg)
+	res, err := harness.Run(cfg, sp.Jobs...)
 	if err != nil {
 		return nil, err
 	}
-	return outcome(Fingerprint(res), res.AuditLog, res.AuditTruncated, decisions)
+	rep, err := Replay(res.AuditLog, res.AuditTruncated)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Fingerprint: Fingerprint(res), Decisions: decisions(), Model: rep}, nil
 }
 
 // schedule resolves a spec's tie-breaking: an explicit override set, or
@@ -128,28 +158,28 @@ func schedule(seed int64, overrides string, trace io.Writer) (tb dask.TieBreaker
 	return b, func() string { return b.Decisions().Format() }, nil
 }
 
-// outcome replays a run's transition log through the reference model
-// and packages the report with the run's fingerprint and schedule.
-func outcome(fingerprint string, log []dask.Transition, truncated int64, decisions func() string) (*Outcome, error) {
-	rep, err := Replay(log, truncated)
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{Fingerprint: fingerprint, Decisions: decisions(), Model: rep}, nil
-}
-
 // Fingerprint digests a run's schedule-invariant observables. Values
 // that legitimately vary with the schedule (per-worker counters, retry
 // totals, timing gauges) are excluded; everything here must be
-// bit-identical across all legal schedules of the same spec.
+// bit-identical across all legal schedules of the same spec. A run
+// without jobs contributes its analytics bits and deterministic
+// counters; a run with jobs contributes every tenant's fingerprint
+// (harness.Result.Fingerprint) in job order. Both end with the executed
+// fault log.
 func Fingerprint(res *harness.Result) string {
 	h := sha256.New()
-	res.WriteAnalytics(h)
-	m := res.Metrics
-	binary.Write(h, binary.LittleEndian, [5]int64{
-		m.Counter("dask/graphs_submitted"), m.Counter("dask/tasks_registered"),
-		m.Counter("dask/external_created"), res.BlocksSent, res.BlocksSkipped,
-	})
+	if len(res.Jobs) == 0 {
+		res.WriteAnalytics(h)
+		m := res.Metrics
+		binary.Write(h, binary.LittleEndian, [5]int64{
+			m.Counter("dask/graphs_submitted"), m.Counter("dask/tasks_registered"),
+			m.Counter("dask/external_created"), res.BlocksSent, res.BlocksSkipped,
+		})
+	}
+	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		io.WriteString(h, j.Name+"="+j.Fingerprint()+"\n")
+	}
 	for _, e := range res.ChaosLog {
 		io.WriteString(h, e.String())
 		io.WriteString(h, "\n")
@@ -196,22 +226,14 @@ func Explore(sp Spec, seeds []int64, run Runner) (*ExploreReport, error) {
 	if run == nil {
 		run = RunPipeline
 	}
-	return explore(seeds, func(seed int64) (*Outcome, error) {
-		s := sp
-		s.Seed, s.Overrides = seed, ""
-		return run(s)
-	})
-}
-
-// explore runs one seeded schedule per seed and compares every outcome
-// against the first successful one.
-func explore(seeds []int64, run func(seed int64) (*Outcome, error)) (*ExploreReport, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("simtest: explore needs at least one seed")
 	}
 	rep := &ExploreReport{Failures: map[int64]string{}}
 	for _, seed := range seeds {
-		out, err := run(seed)
+		s := sp
+		s.Seed, s.Overrides = seed, ""
+		out, err := run(s)
 		if err != nil {
 			rep.Failures[seed] = err.Error()
 			rep.Outcomes = append(rep.Outcomes, nil)

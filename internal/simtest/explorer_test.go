@@ -1,6 +1,8 @@
 package simtest
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -98,5 +100,61 @@ func TestSpecRejectsBadPlan(t *testing.T) {
 	sp.Plan = "explode:everything"
 	if _, err := RunPipeline(sp); err == nil || !strings.Contains(err.Error(), "spec plan") {
 		t.Fatalf("want plan parse error, got %v", err)
+	}
+}
+
+// TestFingerprintsPinned: the one fingerprint keeps both streams it
+// replaced. A spec without jobs digests the single job's analytics and
+// counters; a spec with jobs digests the per-tenant fingerprints. Both
+// default specs, at schedule seed 0, give these digests.
+func TestFingerprintsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sp   Spec
+		want string
+	}{
+		{"one job", DefaultSpec(), "c0b4ef4864b00b6c9b0994110d3420c07079c08d65eb0b1a19cdced504b5e75d"},
+		{"tenants", DefaultTenantsSpec(), "8bf704ef40957a128fd143a49ce2b7aec9bd8036c4d176cb0a45878e8ec633d0"},
+	} {
+		out, err := RunPipeline(c.sp)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if out.Fingerprint != c.want {
+			t.Errorf("%s: fingerprint %s, want %s", c.name, out.Fingerprint, c.want)
+		}
+	}
+}
+
+// TestSpecJSON: a spec without jobs encodes exactly as it did before
+// specs could carry jobs, so a subprocess runner's environment is
+// unchanged, and every spec decodes back to itself.
+func TestSpecJSON(t *testing.T) {
+	full := DefaultSpec()
+	full.MemLimit, full.Plan, full.Seed, full.Overrides = 4<<20, "kill:0@0/1;drop:1/2:1", 9, "tb:ready/x=1"
+	tenants := DefaultTenantsSpec()
+	tenants.MaxConcurrent = 1
+	for _, c := range []struct {
+		sp   Spec
+		want string
+	}{
+		{DefaultSpec(), `{"ranks":4,"workers":3,"timesteps":4,"block_bytes":1048576,"seed":0}`},
+		{full, `{"ranks":4,"workers":3,"timesteps":4,"block_bytes":1048576,"mem_limit":4194304,"plan":"kill:0@0/1;drop:1/2:1","seed":9,"overrides":"tb:ready/x=1"}`},
+		{tenants, ""},
+	} {
+		raw, err := json.Marshal(c.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.want != "" && string(raw) != c.want {
+			t.Errorf("encoding %s, want %s", raw, c.want)
+		}
+		var back Spec
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, c.sp) {
+			t.Errorf("round trip of %s gave %+v", raw, back)
+		}
 	}
 }

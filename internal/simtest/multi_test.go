@@ -9,7 +9,7 @@ import (
 // scheduler's interleaved transition log must replay cleanly through
 // the reference model on every schedule.
 func TestExploreMultiSchedulesIdentical(t *testing.T) {
-	rep, err := ExploreMulti(DefaultMultiSpec(), Seeds(1, 8), nil)
+	rep, err := Explore(DefaultTenantsSpec(), Seeds(1, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +32,14 @@ func TestExploreMultiSchedulesIdentical(t *testing.T) {
 // also be schedule-invariant, and must change the outcome relative to
 // the fault-free sweep (the kill is observable).
 func TestExploreMultiKilljobSchedulesIdentical(t *testing.T) {
-	clean, err := ExploreMulti(DefaultMultiSpec(), Seeds(1, 2), nil)
+	clean, err := Explore(DefaultTenantsSpec(), Seeds(1, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := DefaultMultiSpec()
+	sp := DefaultTenantsSpec()
 	sp.MemLimit = 4 << 20
 	sp.Plan = "killjob:beta@2"
-	rep, err := ExploreMulti(sp, Seeds(50, 6), nil)
+	rep, err := Explore(sp, Seeds(50, 6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +54,9 @@ func TestExploreMultiKilljobSchedulesIdentical(t *testing.T) {
 // A pinned schedule must reproduce a seeded multi-tenant schedule
 // exactly, as for single-job specs.
 func TestMultiOverrideReplayMatchesSeededRun(t *testing.T) {
-	sp := DefaultMultiSpec()
+	sp := DefaultTenantsSpec()
 	sp.Seed = 42
-	seeded, err := RunMultiPipeline(sp)
+	seeded, err := RunPipeline(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMultiOverrideReplayMatchesSeededRun(t *testing.T) {
 		t.Fatal("seeded multi run made no decisions")
 	}
 	sp.Overrides = seeded.Decisions
-	replayed, err := RunMultiPipeline(sp)
+	replayed, err := RunPipeline(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,17 @@ import (
 // mix freely in one line and a reproducer pastes straight back into a
 // test or the shrinker's replay check.
 
-// FormatRepro renders a spec as a one-line reproducer.
-func FormatRepro(sp Spec) string {
+// FormatRepro renders a spec as a one-line reproducer. The spec clause
+// has no room for tenants, so a spec with Jobs is an error.
+func FormatRepro(sp Spec) (string, error) {
+	if len(sp.Jobs) > 0 {
+		return "", fmt.Errorf("simtest: a reproducer line carries one job, and the spec has %d", len(sp.Jobs))
+	}
 	parts := []string{fmt.Sprintf("spec:%d/%d/%d/%d/%d",
 		sp.Ranks, sp.Workers, sp.Timesteps, sp.BlockBytes, sp.MemLimit)}
 	parts = append(parts, splitClauses(sp.Plan)...)
 	parts = append(parts, splitClauses(sp.Overrides)...)
-	return strings.Join(parts, ";")
+	return strings.Join(parts, ";"), nil
 }
 
 // ParseRepro parses a reproducer line back into a runnable spec.

@@ -46,8 +46,11 @@ type ShrinkResult struct {
 // sp.Overrides holds the explicit tie-break clauses of the failing
 // schedule (possibly empty — then only the plan shrinks). Returns an
 // error if the input spec does not fail, since there is nothing to
-// shrink.
+// shrink, or if no reproducer line can carry it (FormatRepro).
 func Shrink(sp Spec, fails Pred) (*ShrinkResult, error) {
+	if _, err := FormatRepro(sp); err != nil {
+		return nil, err
+	}
 	runs := 0
 	check := func(s Spec) (bool, string) {
 		runs++
@@ -94,9 +97,10 @@ func Shrink(sp Spec, fails Pred) (*ShrinkResult, error) {
 	}
 
 	min := build(planClauses, entries)
+	repro, _ := FormatRepro(min) // min has sp's Jobs, checked on entry
 	return &ShrinkResult{
 		Spec:    min,
-		Repro:   FormatRepro(min),
+		Repro:   repro,
 		Failure: failure,
 		Runs:    runs,
 	}, nil

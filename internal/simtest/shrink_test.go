@@ -112,14 +112,31 @@ func TestReproRoundTrip(t *testing.T) {
 	sp.Overrides = Overrides{
 		{Point: dask.PointReadyPop, Key: "fit-2", N: 3}: 1,
 	}.Format()
-	line := FormatRepro(sp)
+	line, err := FormatRepro(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	back, err := ParseRepro(line)
 	if err != nil {
 		t.Fatal(err)
 	}
 	back.Trace = nil
-	if back != sp {
+	if !reflect.DeepEqual(back, sp) {
 		t.Fatalf("round trip:\n  in  %+v\n  out %+v\n  line %q", sp, back, line)
+	}
+}
+
+// TestReproRefusesJobs: the spec clause has no room for tenants, so a
+// spec with jobs has no reproducer line, and Shrink refuses it before
+// spending a run.
+func TestReproRefusesJobs(t *testing.T) {
+	sp := DefaultTenantsSpec()
+	if line, err := FormatRepro(sp); err == nil {
+		t.Fatalf("FormatRepro dropped the jobs: %q", line)
+	}
+	runs := 0
+	if _, err := Shrink(sp, func(Spec) (bool, string) { runs++; return true, "boom" }); err == nil || runs != 0 {
+		t.Fatalf("Shrink of a spec with jobs: err = %v after %d runs", err, runs)
 	}
 }
 
