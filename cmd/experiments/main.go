@@ -82,7 +82,6 @@ func run(args []string, stdout io.Writer) error {
 
 		jobs          = fs.Int("jobs", 0, "run this many concurrent pipelines as tenants of one shared platform and print per-tenant fingerprints and fairness")
 		tenantWeights = fs.String("tenant-weights", "", "comma-separated fair-share weights for -jobs, cycled over the jobs (e.g. '1,2,8'; default all 1)")
-		jobsMax       = fs.Int("jobs-max-concurrent", 0, "admission cap for -jobs: at most this many jobs run at once (0 = unlimited)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -103,6 +102,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *jobs > 0 && *chaosSeed != 0 {
 		return fmt.Errorf("%w: -chaos-seed draws worker kills, which a -jobs run refuses; give the -jobs run a plan with -chaos-plan", errUsage)
+	}
+	if *jobs == 0 && *tenantWeights != "" {
+		return fmt.Errorf("%w: -tenant-weights weights the tenants of a -jobs run; pass -jobs too", errUsage)
 	}
 	opts.Parallel = *parallel
 	if !*all && *fig == "" && !*headline && *ablation == "" && *chaosSeed == 0 && *chaosPlan == "" &&
@@ -143,7 +145,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *jobs > 0 {
-		if err := runTenants(stdout, opts, *jobs, *tenantWeights, *jobsMax, *chaosPlan, *workMem<<20, *quick); err != nil {
+		if err := runTenants(stdout, opts, *jobs, *tenantWeights, *chaosPlan, *workMem<<20, *quick); err != nil {
 			return err
 		}
 	}
@@ -321,10 +323,10 @@ func parseSystem(s string) (harness.System, error) {
 // runTenants runs n concurrent tenant pipelines on one shared platform
 // under the plan planDSL ("" = fault-free) and prints the per-tenant
 // outcome table: fingerprints are reproducible for a fixed seed
-// regardless of the admission interleaving, so two invocations must
-// print identical digests.
-func runTenants(stdout io.Writer, opts harness.Options, n int, weightsCSV string, maxConcurrent int,
-	planDSL string, workerMem int64, quick bool) error {
+// regardless of how the jobs' goroutines interleave, so two invocations
+// must print identical digests.
+func runTenants(stdout io.Writer, opts harness.Options, n int, weightsCSV, planDSL string,
+	workerMem int64, quick bool) error {
 	start := time.Now()
 	var weights []float64
 	if weightsCSV != "" {
@@ -359,7 +361,6 @@ func runTenants(stdout io.Writer, opts harness.Options, n int, weightsCSV string
 		Workers:           2 * ranks,
 		Seed:              7,
 		Model:             opts.Model,
-		MaxConcurrent:     maxConcurrent,
 		WorkerMemoryLimit: workerMem,
 		EnableAudit:       true,
 	}
@@ -392,11 +393,10 @@ func runTenants(stdout io.Writer, opts harness.Options, n int, weightsCSV string
 			100*res.Metrics.Gauge(metrics.ID("scheduler", "tenant_share", metrics.L("tenant", j.Name))),
 			j.Fingerprint()[:16])
 	}
-	fmt.Fprintf(stdout, "jain=%.4f admitted=%d max_queue=%d makespan=%.4fs\n",
-		res.Jain, res.Admission.Admitted, res.Admission.MaxQueue, res.Makespan)
+	fmt.Fprintf(stdout, "jain=%.4f makespan=%.4fs\n", res.Jain, res.Makespan)
 	for _, e := range res.ChaosLog {
 		fmt.Fprintf(stdout, "fault: %s\n", e.String())
 	}
-	fmt.Fprintf(os.Stderr, "[multijob done in %v]\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "[jobs done in %v]\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -65,10 +65,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"negative parallel":            {"-quick", "-parallel", "-3", "-fig", "meta"},
 		"unknown figure after another": {"-quick", "-headline", "-fig", "9"},
 		"negative jobs":                {"-quick", "-jobs", "-1"},
-		"negative jobs cap":            {"-quick", "-jobs", "2", "-jobs-max-concurrent", "-2"},
 		"non-finite weight":            {"-quick", "-jobs", "2", "-tenant-weights", "1,NaN"},
 		"jobs with worker kill plan":   {"-quick", "-jobs", "3", "-chaos-plan", "killjob:job1@2;kill:0@0/1"},
 		"jobs with chaos seed":         {"-quick", "-jobs", "2", "-chaos-seed", "7"},
+		"tenant weights without jobs":  {"-quick", "-fig", "meta", "-tenant-weights", "1,2"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var out bytes.Buffer

@@ -79,9 +79,11 @@ type ChaosReport struct {
 //     budget allows makes the publish give up, and the ranks and the
 //     analytics would then wait forever on the lost block.
 //   - A killjob must name a job of the run, at one of its steps.
-//   - Worker kills need a run without jobs: on a shared platform their
-//     republish barrier would have to span jobs whose admission windows
-//     never overlap.
+//   - Worker kills need a run without jobs. On a shared platform a kill
+//     trigger is a (rank, step) coordinate that every job shares, so host
+//     order would decide which job fires it; and each job's republish
+//     barrier runs after its own rank loop, so a kill could land after
+//     another job's barrier has passed.
 func checkPlan(plan *chaos.Plan, jobs []JobSpec) error {
 	if plan == nil {
 		return nil

@@ -66,23 +66,25 @@ func Example_posthocVsInTransit() {
 }
 
 // Example_multitenant shares one platform between three weighted
-// Heat2D + IPCA jobs, each in its own tenant namespace. It runs the mix
-// interleaved, strictly serial (admission cap 1) and with one tenant
-// cancelled mid-run: each tenant's analytics fingerprint depends only
-// on its own job spec.
+// Heat2D + IPCA jobs, each in its own tenant namespace. It runs the mix,
+// each job alone and the mix with one tenant cancelled mid-run: each
+// tenant's analytics fingerprint depends only on its own job spec.
 func Example_multitenant() {
 	jobs := []harness.JobSpec{
 		{Name: "climate", Weight: 1, Ranks: 2, Timesteps: 4, BlockBytes: 1 << 20},
 		{Name: "fusion", Weight: 2, Ranks: 2, Timesteps: 4, BlockBytes: 1 << 20},
 		{Name: "urgent", Weight: 8, Ranks: 1, Timesteps: 3, BlockBytes: 1 << 20},
 	}
-	run := func(label string, cfg harness.Config) *harness.Result {
-		cfg.System, cfg.Workers, cfg.Seed = harness.DEISA3, 3, 7
-		res, err := harness.Run(cfg, jobs...)
+	run := func(plan *chaos.Plan, specs ...harness.JobSpec) *harness.Result {
+		cfg := harness.Config{System: harness.DEISA3, Workers: 3, Seed: 7, ChaosPlan: plan}
+		res, err := harness.Run(cfg, specs...)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("--- %s: admitted %d\n", label, res.Admission.Admitted)
+		return res
+	}
+	show := func(label string, res *harness.Result) {
+		fmt.Printf("--- %s\n", label)
 		for _, j := range res.Jobs {
 			killed := ""
 			if j.Killed {
@@ -90,38 +92,35 @@ func Example_multitenant() {
 			}
 			fmt.Printf("%-8s w=%g  sent=%2d  fp=%s%s\n", j.Name, j.Weight, j.BlocksSent, j.Fingerprint()[:16], killed)
 		}
-		return res
 	}
 	plan, err := chaos.ParsePlan("killjob:fusion@2")
 	if err != nil {
 		panic(err)
 	}
-	interleaved := run("interleaved", harness.Config{})
-	serial := run("serial (admission MaxConcurrent=1)", harness.Config{MaxConcurrent: 1})
-	killed := run("killjob:fusion@2", harness.Config{ChaosPlan: plan})
+	mixed := run(nil, jobs...)
+	show("mixed", mixed)
+	killed := run(plan, jobs...)
+	show("killjob:fusion@2", killed)
 
 	same, survivors := true, true
-	for _, j := range interleaved.Jobs {
-		same = same && serial.Job(j.Name).Fingerprint() == j.Fingerprint()
+	for i, j := range mixed.Jobs { // in JobSpec order
+		alone := run(nil, jobs[i])
+		same = same && alone.Jobs[0].Fingerprint() == j.Fingerprint()
 		if j.Name != "fusion" { // the cancelled tenant legitimately differs
 			survivors = survivors && killed.Job(j.Name).Fingerprint() == j.Fingerprint()
 		}
 	}
-	fmt.Println("serial == interleaved:", same)
+	fmt.Println("alone == mixed:", same)
 	fmt.Println("killjob survivors unchanged:", survivors)
 	// Output:
-	// --- interleaved: admitted 3
+	// --- mixed
 	// climate  w=1  sent= 8  fp=9cf33dd277ad52c1
 	// fusion   w=2  sent= 8  fp=1626e6df96922432
 	// urgent   w=8  sent= 3  fp=e436dab22d6d6a45
-	// --- serial (admission MaxConcurrent=1): admitted 3
-	// climate  w=1  sent= 8  fp=9cf33dd277ad52c1
-	// fusion   w=2  sent= 8  fp=1626e6df96922432
-	// urgent   w=8  sent= 3  fp=e436dab22d6d6a45
-	// --- killjob:fusion@2: admitted 3
+	// --- killjob:fusion@2
 	// climate  w=1  sent= 8  fp=9cf33dd277ad52c1
 	// fusion   w=2  sent= 4  fp=c352dd45a7811a86  [killed @2: 4 blocks filtered]
 	// urgent   w=8  sent= 3  fp=e436dab22d6d6a45
-	// serial == interleaved: true
+	// alone == mixed: true
 	// killjob survivors unchanged: true
 }

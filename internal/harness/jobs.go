@@ -5,10 +5,7 @@ import (
 	"sync"
 
 	"deisago/internal/chaos"
-	"deisago/internal/dask"
 	"deisago/internal/metrics"
-	"deisago/internal/multijob"
-	"deisago/internal/netsim"
 	"deisago/internal/vtime"
 )
 
@@ -17,12 +14,11 @@ import (
 // cluster, one scheduler. A Run without jobs is one unnamed job. In a
 // Run with jobs each job gets its own namespace (every task key, scatter
 // key, Variable and queue is prefixed "<name>/") and its own fair-share
-// weight on the scheduler's ready queue; every job's start is gated by a
-// multijob.Plane admission ticket (Config.MaxConcurrent), which acts in
-// host time only. The per-job pipelines are dataflow independent, so
-// each job's analytics outputs are bit-identical whether the jobs run
-// serially (MaxConcurrent=1) or fully interleaved — the per-tenant
-// fingerprint checks exactly that.
+// weight on the scheduler's ready queue. Every job starts at once, at
+// virtual time 0. The per-job pipelines are dataflow independent, so
+// each job's analytics outputs are bit-identical whether it runs alone
+// or beside other tenants — the per-tenant fingerprint checks exactly
+// that.
 
 // JobSpec describes one tenant pipeline of a Run with jobs.
 type JobSpec struct {
@@ -62,11 +58,11 @@ func RunMultiJob(cfg MultiJobConfig) (*Result, error) {
 // A named job is a tenant, registered in spec order (so tenant indices
 // and series are deterministic); a job named "" stays on the default
 // tenant, so a run without jobs keeps no tenant series and its one job's
-// Result is the run's. Each job waits for its admission ticket, then runs
-// on its own goroutine and slice of the rank nodes. A job the chaos plan
-// kills has its analytics consume only the timesteps before its kill
-// step. The run-wide fields (makespan, admission, Jain, metrics, trace,
-// chaos and audit logs) are set on the returned Result only.
+// Result is the run's. Each job runs in its namespace on its own
+// goroutine and slice of the rank nodes. A job the chaos plan kills has
+// its analytics consume only the timesteps before its kill step. The
+// run-wide fields (makespan, Jain, metrics, trace, chaos and audit logs)
+// are set on the returned Result only.
 func runJobs(cfg Config, jobs []JobSpec) (*Result, error) {
 	ranks := 0
 	for _, j := range jobs {
@@ -94,7 +90,6 @@ func runJobs(cfg Config, jobs []JobSpec) (*Result, error) {
 		killAt = ctrl.KillJobs()
 	}
 
-	plane := multijob.NewPlane(cfg.MaxConcurrent)
 	results := make([]Result, len(jobs))
 	errs := make(chan error, len(jobs))
 	var wg sync.WaitGroup
@@ -104,10 +99,19 @@ func runJobs(cfg Config, jobs []JobSpec) (*Result, error) {
 		jcfg.Ranks, jcfg.Timesteps, jcfg.BlockBytes = job.Ranks, job.Timesteps, job.BlockBytes
 		nodes := rankNodes[:job.Ranks]
 		rankNodes = rankNodes[job.Ranks:]
+		steps := job.Timesteps
+		killStep, killed := killAt[job.Name]
+		if killed {
+			steps = killStep
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := p.runAdmitted(plane, dc, ctrl, jcfg, job, nodes, killAt)
+			e, err := newEnv(p, jcfg, job.Name, nodes)
+			var res *Result
+			if err == nil {
+				res, err = e.runJob(dc, ctrl, steps)
+			}
 			if err != nil {
 				if job.Name != "" {
 					err = fmt.Errorf("job %q: %w", job.Name, err)
@@ -115,6 +119,7 @@ func runJobs(cfg Config, jobs []JobSpec) (*Result, error) {
 				errs <- err
 				return
 			}
+			res.Weight, res.Killed, res.KilledStep = job.Weight, killed, killStep
 			results[i] = *res
 		}()
 	}
@@ -133,7 +138,6 @@ func runJobs(cfg Config, jobs []JobSpec) (*Result, error) {
 	for i := range results {
 		out.Makespan = vtime.MaxTime(out.Makespan, results[i].SimMakespan, results[i].AnalyticsTime)
 	}
-	out.Admission = plane.Stats()
 	if ctrl != nil {
 		out.ChaosLog = ctrl.Log()
 	}
@@ -146,27 +150,4 @@ func runJobs(cfg Config, jobs []JobSpec) (*Result, error) {
 	out.Metrics = p.reg.Snapshot()
 	out.Jain = out.Metrics.Gauge(metrics.ID("scheduler", "fairness_jain"))
 	return out, nil
-}
-
-// runAdmitted waits for job's admission ticket, then runs it with cfg in
-// its namespace on rankNodes. A job in killAt has its analytics consume
-// only the timesteps before its kill step.
-func (p *platform) runAdmitted(plane *multijob.Plane, dc *dask.Cluster, ctrl *chaos.Controller,
-	cfg Config, job JobSpec, rankNodes []netsim.NodeID, killAt map[string]int) (*Result, error) {
-	defer plane.Admit()()
-	e, err := newEnv(p, cfg, job.Name, rankNodes)
-	if err != nil {
-		return nil, err
-	}
-	steps := job.Timesteps
-	killStep, killed := killAt[job.Name]
-	if killed {
-		steps = killStep
-	}
-	res, err := e.runJob(dc, ctrl, steps)
-	if err != nil {
-		return nil, err
-	}
-	res.Weight, res.Killed, res.KilledStep = job.Weight, killed, killStep
-	return res, nil
 }

@@ -54,24 +54,21 @@ func TestMultiJobSmoke(t *testing.T) {
 	if res.Jain <= 0 || res.Jain > 1 {
 		t.Fatalf("Jain = %g", res.Jain)
 	}
-	if res.Admission.Admitted != 2 || res.Admission.Running != 0 {
-		t.Fatalf("admission stats = %+v", res.Admission)
-	}
 	if res.Makespan <= 0 {
 		t.Fatal("no makespan")
 	}
 }
 
-// TestMultiJobDeterminism: per-tenant fingerprints are bit-identical
-// across repeated runs AND between serial (MaxConcurrent=1) and fully
-// concurrent admission — the namespaced pipelines are dataflow
-// independent, so interleaving cannot leak between tenants.
+// TestMultiJobDeterminism: each tenant's fingerprint is the same in
+// repeated runs of a 3-job mix and when the tenant runs alone. The
+// namespaced pipelines are dataflow independent, so a tenant's outputs
+// depend on its own spec only: not on the other tenants, nor on how
+// their goroutines interleave.
 func TestMultiJobDeterminism(t *testing.T) {
-	serial := mjConfig
-	serial.MaxConcurrent = 1
+	jobs := mjJobs(3)
 	fps := map[string][]string{}
-	for _, cfg := range []Config{mjConfig, mjConfig, serial} {
-		res, err := Run(cfg, mjJobs(3)...)
+	for range 2 {
+		res, err := Run(mjConfig, jobs...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,9 +76,14 @@ func TestMultiJobDeterminism(t *testing.T) {
 			fps[j.Name] = append(fps[j.Name], j.Fingerprint())
 		}
 	}
-	for name, f := range fps {
-		if len(f) != 3 || f[0] != f[1] || f[0] != f[2] {
-			t.Fatalf("job %q fingerprints diverge: %v", name, f)
+	for _, job := range jobs {
+		alone, err := Run(mjConfig, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := append(fps[job.Name], alone.Jobs[0].Fingerprint())
+		if f[0] != f[1] || f[0] != f[2] {
+			t.Fatalf("job %q fingerprints (mix, mix, alone) diverge: %v", job.Name, f)
 		}
 	}
 }
@@ -208,7 +210,6 @@ func TestMultiJobValidation(t *testing.T) {
 		// "default" names the scheduler's catch-all tenant.
 		{"job named default", 1, func(_ *Config, j []JobSpec) { j[0].Name = "default" }, "default"},
 		{"zero-rank job", 1, func(_ *Config, j []JobSpec) { j[0].Ranks = 0 }, "positive"},
-		{"negative admission cap", 2, func(c *Config, _ []JobSpec) { c.MaxConcurrent = -2 }, "negative"},
 		{"zero workers", 1, func(c *Config, _ []JobSpec) { c.Workers = 0 }, "workers"},
 		// Each job carries its own size; a top-level one would be ignored.
 		{"top-level ranks", 1, func(c *Config, _ []JobSpec) { c.Ranks = 2 }, "must be zero"},
@@ -228,12 +229,6 @@ func TestMultiJobValidation(t *testing.T) {
 		if _, err := Run(cfg, jobs...); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Run err = %v, want one naming %q", c.name, err, c.want)
 		}
-	}
-	// A negative cap is refused without jobs too.
-	cfg := smallConfig(DEISA3)
-	cfg.MaxConcurrent = -1
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "negative") {
-		t.Errorf("negative cap without jobs: err = %v", err)
 	}
 }
 
@@ -293,7 +288,6 @@ func TestMultiJobMixedSizes(t *testing.T) {
 		Workers:           2,
 		Seed:              3,
 		WorkerMemoryLimit: 64 * MiB,
-		MaxConcurrent:     2,
 		EnableAudit:       true,
 	}
 	res, err := Run(cfg,

@@ -17,7 +17,6 @@ import (
 	"deisago/internal/h5"
 	"deisago/internal/metrics"
 	"deisago/internal/mpi"
-	"deisago/internal/multijob"
 	"deisago/internal/ndarray"
 	"deisago/internal/netsim"
 	"deisago/internal/pfs"
@@ -77,8 +76,10 @@ type Config struct {
 	// other system, and a killjob clause, which its one unnamed job
 	// cannot honour. In a Run with jobs, killjob clauses cancel the named
 	// tenant's analytics from the given step and worker kills are
-	// refused: their republish barrier would have to span jobs whose
-	// admission windows never overlap.
+	// refused: a kill trigger is a (rank, step) coordinate every job
+	// shares, so host order would pick which job fires it, and each job's
+	// republish barrier runs after its own rank loop, so a kill could land
+	// after another job's barrier has passed.
 	ChaosPlan *chaos.Plan
 	// TieBreak, when non-nil, redirects every benign scheduling tie in
 	// the cluster and the bridges — ready-pop order, worker choice,
@@ -86,10 +87,6 @@ type Config struct {
 	// (package simtest) can permute legal schedules. nil keeps the
 	// production rules.
 	TieBreak dask.TieBreaker
-	// MaxConcurrent caps how many of a Run's jobs run at once (package
-	// multijob); 0 runs them all at once. The cap acts in host time
-	// only: a queued job's clocks still start at virtual time 0.
-	MaxConcurrent int
 	// EnableAudit switches the scheduler invariant auditor on even for
 	// fault-free runs (ChaosPlan enables it regardless) and exposes the
 	// transition log on the Result for offline replay.
@@ -129,9 +126,9 @@ func (c *Config) defaults(jobs []JobSpec) []JobSpec {
 
 // Result holds every measurement of one run. A Run with jobs reports
 // each job in Jobs and keeps only the run-wide fields (Makespan, Jain,
-// Admission, Metrics, Trace, ChaosLog, the audit log) at the top level;
-// a run without jobs reports its one job at the top level, with the
-// run-wide fields beside it.
+// Metrics, Trace, ChaosLog, the audit log) at the top level; a run
+// without jobs reports its one job at the top level, with the run-wide
+// fields beside it.
 type Result struct {
 	Config Config
 	// Name is the job's tenant namespace ("" for the one job of Run, on
@@ -194,8 +191,6 @@ type Result struct {
 	// tenants). Per-tenant service (scheduler/tenant_pops,
 	// scheduler/tenant_share) is in Metrics. Run-wide.
 	Jain float64
-	// Admission is the admission plane's accounting. Run-wide.
-	Admission multijob.Stats
 
 	// Real analytics outputs, for cross-system correctness checks.
 	Components        *ndarray.Array
@@ -269,8 +264,8 @@ func (r *Result) WriteAnalytics(w io.Writer) {
 
 // Fingerprint digests the job's name, kill step, analytics bits and
 // bridge counters. It is a pure function of the job's configuration and
-// kill step: other tenants on the platform and the admission
-// interleaving do not change it.
+// kill step: other tenants on the platform and the host interleaving of
+// their goroutines do not change it.
 func (r *Result) Fingerprint() string {
 	h := sha256.New()
 	kill := int64(-1)
@@ -330,9 +325,6 @@ func prepare(cfg *Config, jobs []JobSpec) ([]JobSpec, error) {
 	jobs = cfg.defaults(jobs)
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("harness: workers must be positive")
-	}
-	if cfg.MaxConcurrent < 0 {
-		return nil, fmt.Errorf("harness: admission cap must not be negative (max concurrent %d)", cfg.MaxConcurrent)
 	}
 	if cfg.ChaosPlan != nil && cfg.System < DEISA2 {
 		return nil, fmt.Errorf("harness: chaos injection needs an external-mode system (DEISA2 or DEISA3), got %s", cfg.System)

@@ -38,8 +38,6 @@ type Spec struct {
 	// Jobs, when non-empty, runs these tenants on one shared platform
 	// (harness.Run(cfg, jobs...)).
 	Jobs []harness.JobSpec `json:"jobs,omitempty"`
-	// MaxConcurrent caps the admission of Jobs (0 = all at once).
-	MaxConcurrent int `json:"max_concurrent,omitempty"`
 	// MemLimit, when positive, turns on worker memory governance.
 	MemLimit int64 `json:"mem_limit,omitempty"`
 	// Plan is the chaos DSL ("" = fault-free run). killjob clauses
@@ -89,7 +87,6 @@ func (sp Spec) Config() (harness.Config, error) {
 		BlockBytes:        sp.BlockBytes,
 		Seed:              1,
 		WorkerMemoryLimit: sp.MemLimit,
-		MaxConcurrent:     sp.MaxConcurrent,
 		EnableAudit:       true,
 	}
 	if sp.Plan != "" {

@@ -133,7 +133,7 @@ func TestSpecJSON(t *testing.T) {
 	full := DefaultSpec()
 	full.MemLimit, full.Plan, full.Seed, full.Overrides = 4<<20, "kill:0@0/1;drop:1/2:1", 9, "tb:ready/x=1"
 	tenants := DefaultTenantsSpec()
-	tenants.MaxConcurrent = 1
+	tenants.Plan = "killjob:alpha@1"
 	for _, c := range []struct {
 		sp   Spec
 		want string

@@ -2,9 +2,9 @@
 # Pre-PR gate: formatting, vet, full tests with coverage (which also
 # run the Example functions, the golden snapshots, and the schedule-space
 # and multi-tenant explorers), a race-detector pass over the packages
-# with parallel kernels or concurrent runtime machinery (admission
-# queue, FCFS resources and MPI rank goroutines included; with the
-# scheduler invariant auditor on and a fixed chaos seed), repeated
+# with parallel kernels or concurrent runtime machinery (FCFS
+# resources and MPI rank goroutines included; with the scheduler
+# invariant auditor on and a fixed chaos seed), repeated
 # race-detector runs of the metrics and netsim concurrency tests,
 # repeated runs of the dask, core, harness and simtest tests under
 # several GOMAXPROCS,
@@ -88,7 +88,6 @@ DEISA_AUDIT=1 go test -race \
     ./internal/simtest \
     ./internal/netsim \
     ./internal/metrics \
-    ./internal/multijob \
     ./internal/pfs \
     ./internal/vtime \
     ./internal/mpi

@@ -116,7 +116,6 @@ cli -system deisa3 -ranks 4 -workers 2 -steps 3 -block-mib 64 -worker-mem 100
 cli -quick -chaos-seed 7 -worker-mem 16
 cli -quick -worker-mem 16 -chaos-plan 'kill:0@0/1;degrade:0-1:3@0-inf;drop:1/3:2;delay:0/2:0.25;memlimit:1:8388608@0-0.5'
 cli -quick -jobs 8 -tenant-weights 1,2,8
-cli -quick -jobs 4 -jobs-max-concurrent 2
 cli -quick -jobs 3 -chaos-plan 'killjob:job1@2'
 go tool covdata textfmt -i="$tmp/cov" -o "$tmp/cli.txt"
 
